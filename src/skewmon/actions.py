@@ -702,9 +702,6 @@ class Context:
                     f"conjugation of {key} by {perm} is not a lattice element"
                 )
 
-    def key_sort(self, key):
-        return tuple(key)
-
     def render_key(self, key):
         return "[" + ",".join(str(x) for x in key) + "]"
 

@@ -105,16 +105,8 @@ def verify_relations(spec, relations):
     report = Report("relation suite")
     for rel in relations:
         name, expr = rel["name"], rel["expr"]
-        report.run_check(
-            name,
-            lambda expr=expr: _zero_or_residual(evaluate_expression(spec, expr)),
-            lambda u: u.to_text(),
-        )
+        report.check_zero(name, lambda expr=expr: evaluate_expression(spec, expr))
     return report
-
-
-def _zero_or_residual(u):
-    return (u.is_zero(), None if u.is_zero() else u)
 
 
 def gl_relation_set(n):
@@ -517,7 +509,7 @@ def ore_witness(s, u):
 
     v = SkewElement.scalar(ctx, s.invert()) * u
     d = RatFunc.const(nvars, 1)
-    for key in sorted(v.coeffs, key=ctx.key_sort):
+    for key in sorted(v.coeffs):
         t = RatFunc.from_poly(v.coeffs[key].den) * s
         d = d * ctx.act_key(ctx.key_inverse(key), t)
     r = RatFunc.const(nvars, 1)

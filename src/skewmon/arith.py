@@ -918,6 +918,14 @@ def _split_terms(text):
     return [c.strip() for c in chunks if c.strip()]
 
 
+def ratfunc_to_text(r, names):
+    """Canonical text of a rational function: ``num``, or ``(num)/(den)``
+    when the denominator is not constant."""
+    if r.is_polynomial():
+        return poly_to_text(r.num, names)
+    return f"({poly_to_text(r.num, names)})/({poly_to_text(r.den, names)})"
+
+
 def ratfunc_to_json(r, names):
     out = {"num": poly_to_text(r.num, names)}
     if not r.den.is_constant():

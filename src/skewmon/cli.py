@@ -10,12 +10,11 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from importlib import resources
 
 from . import __version__
-from .arith import QQ, poly_to_text, ratfunc_from_json
+from .arith import QQ, ratfunc_from_json, ratfunc_to_text
 from .actions import MonoidElement, ScalingAut, ShiftAut, VariableTable
 from .errors import ResourceCapError, SkewmonError
 from .reports import Report, dump_json
@@ -134,7 +133,8 @@ def _one_line(perm):
 
 
 # ---------------------------------------------------------------------------
-# Job handlers: (runtime, job) -> (Report, values dict)
+# Job handlers: (runtime, job) -> (Report, values dict).  Parameters named in
+# JOBS and INT_PARAMS are validated before any job runs.
 # ---------------------------------------------------------------------------
 
 
@@ -169,29 +169,20 @@ def _job_support_lattice_rank(rt, job):
 
 
 def _job_center_candidates(rt, job):
-    basis = center_candidates(rt.algebra, int(job["degree_bound"]))
+    basis = center_candidates(rt.algebra, job["degree_bound"])
     names = rt.algebra.context.table.names
-    texts = []
-    for b in basis:
-        if b.is_polynomial():
-            texts.append(poly_to_text(b.num, names))
-        else:
-            texts.append(f"({poly_to_text(b.num, names)})/({poly_to_text(b.den, names)})")
+    texts = [ratfunc_to_text(b, names) for b in basis]
     report = Report("center candidates")
     report.add(f"solved invariance system at degree {job['degree_bound']}", "pass")
     return report, {"basis": texts, "dimension": len(texts)}
 
 
 def _job_orbit_identities(rt, job):
-    return orbit_identity_trials(
-        rt.algebra.context, int(job["count"]), int(job["seed"])
-    ), {}
+    return orbit_identity_trials(rt.algebra.context, job["count"], job["seed"]), {}
 
 
 def _job_ore_witness_random(rt, job):
-    return ore_witness_trials(
-        rt.algebra.context, int(job["count"]), int(job["seed"])
-    ), {}
+    return ore_witness_trials(rt.algebra.context, job["count"], job["seed"]), {}
 
 
 def _job_standard_identity(rt, job):
@@ -204,10 +195,7 @@ def _job_standard_identity(rt, job):
 
 def _job_standard_identity_repeated(rt, job):
     return repeated_argument_trials(
-        rt.algebra.context,
-        int(job["count"]),
-        int(job["seed"]),
-        degree=int(job.get("degree", 3)),
+        rt.algebra.context, job["count"], job["seed"], degree=job.get("degree", 3)
     ), {}
 
 
@@ -217,21 +205,18 @@ def _job_theta_relations(rt, job):
     thetas = rt.thetas
     report = Report("divided-difference relations")
     for i, th in enumerate(thetas, start=1):
-        sq = th * th
-        report.add(f"theta{i}^2 = 0", "pass" if sq.is_zero() else "fail",
-                   residual=None if sq.is_zero() else sq.to_text())
+        report.check_zero(f"theta{i}^2 = 0", lambda th=th: th * th)
     for i in range(len(thetas) - 1):
-        lhs = thetas[i] * thetas[i + 1] * thetas[i]
-        rhs = thetas[i + 1] * thetas[i] * thetas[i + 1]
-        ok = lhs == rhs
-        report.add(f"braid theta{i + 1} theta{i + 2}", "pass" if ok else "fail",
-                   residual=None if ok else (lhs - rhs).to_text())
+        report.check_zero(
+            f"braid theta{i + 1} theta{i + 2}",
+            lambda a=thetas[i], b=thetas[i + 1]: a * b * a - b * a * b,
+        )
     for i in range(len(thetas)):
         for j in range(i + 2, len(thetas)):
-            c = commutator(thetas[i], thetas[j])
-            report.add(f"[theta{i + 1}, theta{j + 1}] = 0",
-                       "pass" if c.is_zero() else "fail",
-                       residual=None if c.is_zero() else c.to_text())
+            report.check_zero(
+                f"[theta{i + 1}, theta{j + 1}] = 0",
+                lambda a=thetas[i], b=thetas[j]: commutator(a, b),
+            )
     return report, {}
 
 
@@ -248,7 +233,7 @@ def _job_hecke_check(rt, job):
 
 def _job_growth_profile(rt, job):
     frame = [rt.element(e) for e in job["frame"]]
-    profile = growth_profile(frame, int(job["k_max"]), dim_cap=rt.cap_dim)
+    profile = growth_profile(frame, job["k_max"], dim_cap=rt.cap_dim)
     report = Report("frame growth profile")
     report.add("profile computed", "pass")
     return report, {
@@ -261,28 +246,54 @@ def _job_growth_profile(rt, job):
 def _job_monoid_growth(rt, job):
     ctx = rt.algebra.context
     gens = [MonoidElement(ctx, tuple(v)) for v in job["generators"]]
-    sizes = monoid_growth(gens, int(job["k_max"]))
+    sizes = monoid_growth(gens, job["k_max"])
     slope = fit_loglog_slope(sizes)
     report = Report("monoid ball growth")
     report.add("ball sizes computed", "pass")
     return report, {"sizes": sizes, "slope": str(slope), "slope_float": float(slope)}
 
 
-JOB_HANDLERS = {
-    "verify_gwa": _job_verify_gwa,
-    "verify_relations": _job_verify_relations,
-    "invariance": _job_invariance,
-    "support_lattice_rank": _job_support_lattice_rank,
-    "center_candidates": _job_center_candidates,
-    "orbit_identities": _job_orbit_identities,
-    "ore_witness_random": _job_ore_witness_random,
-    "standard_identity": _job_standard_identity,
-    "standard_identity_repeated": _job_standard_identity_repeated,
-    "theta_relations": _job_theta_relations,
-    "hecke_check": _job_hecke_check,
-    "growth_profile": _job_growth_profile,
-    "monoid_growth": _job_monoid_growth,
+#: op -> (handler, required parameters)
+JOBS = {
+    "verify_gwa": (_job_verify_gwa, ()),
+    "verify_relations": (_job_verify_relations, ()),
+    "invariance": (_job_invariance, ()),
+    "support_lattice_rank": (_job_support_lattice_rank, ()),
+    "center_candidates": (_job_center_candidates, ("degree_bound",)),
+    "orbit_identities": (_job_orbit_identities, ("count", "seed")),
+    "ore_witness_random": (_job_ore_witness_random, ("count", "seed")),
+    "standard_identity": (_job_standard_identity, ("elements",)),
+    "standard_identity_repeated": (_job_standard_identity_repeated, ("count", "seed")),
+    "theta_relations": (_job_theta_relations, ()),
+    "hecke_check": (_job_hecke_check, ("element",)),
+    "growth_profile": (_job_growth_profile, ("frame", "k_max")),
+    "monoid_growth": (_job_monoid_growth, ("generators", "k_max")),
 }
+
+#: integer parameter -> lower bound (None: any integer); checked wherever the
+#: parameter appears in a job
+INT_PARAMS = {"count": 1, "seed": None, "degree": 2, "degree_bound": 0, "k_max": 2}
+
+
+def _validate_job(index, job):
+    """Check one job against JOBS and INT_PARAMS; raise ScenarioError naming
+    the job and the parameter."""
+    if not isinstance(job, dict):
+        raise ScenarioError(f"job {index} must be a JSON object")
+    op = job.get("op")
+    where = f"job {index} {job.get('name', op)!r}"
+    if op not in JOBS:
+        raise ScenarioError(f"{where}: unknown operation {op!r}")
+    for param in JOBS[op][1]:
+        if param not in job:
+            raise ScenarioError(f"{where} ({op}): missing parameter {param!r}")
+    for param, low in INT_PARAMS.items():
+        if param not in job:
+            continue
+        value = job[param]
+        if type(value) is not int or (low is not None and value < low):
+            wanted = "an integer" if low is None else f"an integer >= {low}"
+            raise ScenarioError(f"{where} ({op}): {param} must be {wanted}, got {value!r}")
 
 
 def _apply_expectation(report, values, expect):
@@ -314,35 +325,33 @@ def _apply_expectation(report, values, expect):
             raise ScenarioError(f"unknown expectation key {key!r}")
 
 
-def run_scenario(scenario, cap_dim=4096, cap_group=None, jobs_parallel=1):
-    """Execute a parsed scenario; returns the RunReport dict (no I/O)."""
+def run_scenario(scenario, cap_dim=4096, cap_group=None):
+    """Execute a parsed scenario; returns the RunReport dict (no I/O).
+
+    Every job is validated before the algebra is built or any job runs.
+    """
     if not isinstance(scenario, dict):
         raise ScenarioError("scenario must be a JSON object")
-    unknown = [j.get("op") for j in scenario.get("jobs", []) if j.get("op") not in JOB_HANDLERS]
-    if unknown:
-        raise ScenarioError(f"unknown operations: {unknown}")
+    job_list = scenario.get("jobs", [])
+    for index, job in enumerate(job_list, start=1):
+        _validate_job(index, job)
     rt = _Runtime(scenario, cap_dim, cap_group)
 
     def run_one(job):
         t0 = time.perf_counter()
-        report, values = JOB_HANDLERS[job["op"]](rt, job)
+        report, values = JOBS[job["op"]][0](rt, job)
         _apply_expectation(report, values, job.get("expect", "pass"))
         return {
             "name": job.get("name", job["op"]),
             "op": job["op"],
             "status": "pass" if report.passed else "fail",
             "checks": [c.to_json() for c in report.checks],
-            "values": _plain(values),
+            "values": values,
             "timing_ms": round((time.perf_counter() - t0) * 1000.0, 3),
         }
 
     t_start = time.perf_counter()
-    job_list = scenario.get("jobs", [])
-    if jobs_parallel > 1:
-        with ThreadPoolExecutor(max_workers=jobs_parallel) as pool:
-            results = list(pool.map(run_one, job_list))
-    else:
-        results = [run_one(job) for job in job_list]
+    results = [run_one(job) for job in job_list]
     return {
         "engine": {"name": "skewmon", "version": __version__},
         "title": scenario.get("title", ""),
@@ -350,14 +359,6 @@ def run_scenario(scenario, cap_dim=4096, cap_group=None, jobs_parallel=1):
         "jobs": results,
         "timing_ms": round((time.perf_counter() - t_start) * 1000.0, 3),
     }
-
-
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    return obj
 
 
 def strip_timings(run_report):
@@ -415,7 +416,6 @@ def main(argv=None):
 
     run_p = sub.add_parser("run", help="run a scenario file (or a shipped suite name)")
     run_p.add_argument("scenario")
-    run_p.add_argument("--jobs", type=int, default=1, help="parallel worker count")
     run_p.add_argument("--format", choices=("json", "text"), default="text")
     run_p.add_argument("--out", help="write the report to this path instead of stdout")
     run_p.add_argument("--cap-dim", type=int, default=4096, help="span dimension cap")
@@ -446,12 +446,7 @@ def main(argv=None):
         return 2
 
     try:
-        report = run_scenario(
-            scenario,
-            cap_dim=args.cap_dim,
-            cap_group=args.cap_group,
-            jobs_parallel=args.jobs,
-        )
+        report = run_scenario(scenario, cap_dim=args.cap_dim, cap_group=args.cap_group)
     except ResourceCapError as exc:
         print(f"error: resource cap exceeded: {exc}", file=sys.stderr)
         return 3

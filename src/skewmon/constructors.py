@@ -20,6 +20,7 @@ from .arith import (
     Polynomial,
     RatFunc,
     pole_order,
+    ratfunc_to_text,
     residue_along,
     restrict_to_hyperplane,
 )
@@ -31,6 +32,7 @@ from .actions import (
     ScalingAut,
     ShiftAut,
     VariableTable,
+    _perm_inverse,
 )
 from .errors import PreconditionError, UnsupportedModeError
 from .reports import Report
@@ -179,43 +181,34 @@ def verify_gwa(spec):
         for i in range(ctx.table.n_acted + ctx.table.n_fixed)
     ]
 
-    def residual_text(u):
-        return u.to_text()
-
     for i in range(rank):
         xp = alg.generator(f"X{i + 1}+")
         xm = alg.generator(f"X{i + 1}-")
         s = spec.sigma[i]
         for name, d in base_vars:
-            report.run_check(
+            report.check_zero(
                 f"X{i + 1}+ {name} = sigma_{i + 1}({name}) X{i + 1}+",
-                lambda xp=xp, d=d, s=s: _zero_residual(
+                lambda xp=xp, d=d, s=s: (
                     xp * SkewElement.scalar(ctx, d)
                     - SkewElement.scalar(ctx, s.apply(d)) * xp
                 ),
-                residual_text,
             )
-            report.run_check(
+            report.check_zero(
                 f"X{i + 1}- {name} = sigma_{i + 1}^-1({name}) X{i + 1}-",
-                lambda xm=xm, d=d, s=s: _zero_residual(
+                lambda xm=xm, d=d, s=s: (
                     xm * SkewElement.scalar(ctx, d)
                     - SkewElement.scalar(ctx, s.inverse().apply(d)) * xm
                 ),
-                residual_text,
             )
-        report.run_check(
+        report.check_zero(
             f"X{i + 1}- X{i + 1}+ = a_{i + 1}",
-            lambda xp=xp, xm=xm, i=i: _zero_residual(
-                xm * xp - SkewElement.scalar(ctx, spec.a[i])
-            ),
-            residual_text,
+            lambda xp=xp, xm=xm, i=i: xm * xp - SkewElement.scalar(ctx, spec.a[i]),
         )
-        report.run_check(
+        report.check_zero(
             f"X{i + 1}+ X{i + 1}- = sigma_{i + 1}(a_{i + 1})",
-            lambda xp=xp, xm=xm, i=i: _zero_residual(
+            lambda xp=xp, xm=xm, i=i: (
                 xp * xm - SkewElement.scalar(ctx, spec.sigma[i].apply(spec.a[i]))
             ),
-            residual_text,
         )
     for i in range(rank):
         for j in range(rank):
@@ -228,16 +221,11 @@ def verify_gwa(spec):
             for si, sj in pairs:
                 u = alg.generator(f"X{i + 1}{si}")
                 v = alg.generator(f"X{j + 1}{sj}")
-                report.run_check(
+                report.check_zero(
                     f"[X{i + 1}{si}, X{j + 1}{sj}] = 0",
-                    lambda u=u, v=v: _zero_residual(commutator(u, v)),
-                    residual_text,
+                    lambda u=u, v=v: commutator(u, v),
                 )
     return report
-
-
-def _zero_residual(u):
-    return (u.is_zero(), None if u.is_zero() else u)
 
 
 def witten_woronowicz_spec():
@@ -499,14 +487,13 @@ def hecke_membership_check(element, roots=None, mode="degenerate", vanishing_val
             report.add(
                 f"cond3: Res f_{perm_name(w)} + Res f_{perm_name(partner)} = 0 along {alpha_name}",
                 "pass" if ok else "fail",
-                residual=None if ok else _ratfunc_text(total, names),
+                residual=None if ok else ratfunc_to_text(total, names),
                 timing_ms=(time.perf_counter() - t0) * 1000.0,
             )
 
         if mode == "q":
-            inv_of = {w: tuple(_inv(w)) for w in support}
             for w in support:
-                winv = inv_of[w]
+                winv = _perm_inverse(w)
                 # w^{-1}(alpha) = x_{w^{-1}(i)} - x_{w^{-1}(j)} is negative iff
                 # the indices come out of order
                 if winv[i] < winv[j]:
@@ -526,22 +513,7 @@ def hecke_membership_check(element, roots=None, mode="degenerate", vanishing_val
                 report.add(
                     f"cond4: f_{perm_name(w)} vanishes on {alpha_name} = {vanishing_value}",
                     "pass" if ok else "fail",
-                    residual=None if ok else _ratfunc_text(restricted, names),
+                    residual=None if ok else ratfunc_to_text(restricted, names),
                     timing_ms=(time.perf_counter() - t0) * 1000.0,
                 )
     return report
-
-
-def _inv(perm):
-    out = [0] * len(perm)
-    for a, b in enumerate(perm):
-        out[b] = a
-    return out
-
-
-def _ratfunc_text(r, names):
-    from .arith import poly_to_text
-
-    if r.is_polynomial():
-        return poly_to_text(r.num, names)
-    return f"({poly_to_text(r.num, names)})/({poly_to_text(r.den, names)})"

@@ -7,29 +7,23 @@ from dataclasses import dataclass, field
 
 @dataclass
 class CheckResult:
-    """One verification check: pass/fail plus an optional symbolic witness.
-
-    ``residual`` carries the canonical text of a nonzero residual on failure;
-    ``witness`` carries constructed data (an Ore witness, a basis, ...).
-    """
+    """One verification check: pass/fail, the canonical text of a nonzero
+    residual on failure, and the time it took if it was timed."""
 
     name: str
     status: str  # "pass" | "fail" | "error"
     residual: str | None = None
-    witness: object | None = None
-    timing_ms: float = 0.0
+    timing_ms: float | None = None
 
     @property
     def ok(self):
         return self.status == "pass"
 
-    def to_json(self, include_timings=True):
+    def to_json(self):
         out = {"name": self.name, "status": self.status}
         if self.residual is not None:
             out["residual"] = self.residual
-        if self.witness is not None:
-            out["witness"] = self.witness
-        if include_timings:
+        if self.timing_ms is not None:
             out["timing_ms"] = round(self.timing_ms, 3)
         return out
 
@@ -45,39 +39,22 @@ class Report:
     def passed(self):
         return all(c.ok for c in self.checks)
 
-    def add(self, name, status, residual=None, witness=None, timing_ms=0.0):
-        self.checks.append(CheckResult(name, status, residual, witness, timing_ms))
+    def add(self, name, status, residual=None, timing_ms=None):
+        self.checks.append(CheckResult(name, status, residual, timing_ms))
 
-    def run_check(self, name, func, describe_residual=None):
-        """Run func() -> (ok, residual_or_None) and record it with timing."""
+    def check_zero(self, name, compute):
+        """Time compute() and record pass if its result is zero, otherwise
+        the result's canonical text as the residual."""
         t0 = time.perf_counter()
-        ok, residual = func()
+        value = compute()
         dt = (time.perf_counter() - t0) * 1000.0
-        if describe_residual and residual is not None:
-            residual = describe_residual(residual)
-        self.add(name, "pass" if ok else "fail", residual=None if ok else residual,
-                 timing_ms=dt)
+        ok = value.is_zero()
+        self.add(name, "pass" if ok else "fail", None if ok else value.to_text(), dt)
 
     def failures(self):
         return [c for c in self.checks if not c.ok]
 
-    def to_json(self, include_timings=True):
-        return {
-            "title": self.title,
-            "status": "pass" if self.passed else "fail",
-            "checks": [c.to_json(include_timings) for c in self.checks],
-        }
 
-    def to_text(self):
-        lines = [f"== {self.title}: {'PASS' if self.passed else 'FAIL'}"]
-        for c in self.checks:
-            line = f"  [{c.status:>4}] {c.name}"
-            if c.residual:
-                line += f"  residual: {c.residual}"
-            lines.append(line)
-        return "\n".join(lines)
-
-
-def dump_json(obj, include_timings=True):
+def dump_json(obj):
     """Deterministic serialization: sorted keys, fixed separators."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)

@@ -167,20 +167,15 @@ class SkewElement:
     # -- rendering -----------------------------------------------------------
 
     def to_text(self):
-        from .arith import poly_to_text
+        from .arith import ratfunc_to_text
 
         if not self.coeffs:
             return "0"
         names = self.context.table.names
-        parts = []
-        for key in sorted(self.coeffs, key=self.context.key_sort):
-            c = self.coeffs[key]
-            if c.is_polynomial():
-                coeff = poly_to_text(c.num, names)
-            else:
-                coeff = f"({poly_to_text(c.num, names)})/({poly_to_text(c.den, names)})"
-            parts.append(f"{coeff} ⊗ {self.context.render_key(key)}")
-        return " + ".join(parts)
+        return " + ".join(
+            f"{ratfunc_to_text(self.coeffs[key], names)} ⊗ {self.context.render_key(key)}"
+            for key in sorted(self.coeffs)
+        )
 
     def to_json(self):
         from .arith import ratfunc_to_json
@@ -189,7 +184,7 @@ class SkewElement:
         return {
             "terms": [
                 {"key": list(key), **ratfunc_to_json(self.coeffs[key], names)}
-                for key in sorted(self.coeffs, key=self.context.key_sort)
+                for key in sorted(self.coeffs)
             ]
         }
 

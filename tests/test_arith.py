@@ -12,6 +12,8 @@ from skewmon.arith import (
     poly_lcm,
     poly_to_text,
     pole_order,
+    ratfunc_to_json,
+    ratfunc_to_text,
     residue_along,
     restrict_to_hyperplane,
     substitute,
@@ -317,6 +319,14 @@ class TestTextForms:
         for _ in range(20):
             p = rand_poly(rng)
             assert poly_from_text(poly_to_text(p, NAMES), NAMES) == p
+
+    def test_ratfunc_text(self):
+        p = X**2 - Y.scale(QQ(3, 2)) + ONE
+        assert ratfunc_to_text(RatFunc.from_poly(p), NAMES) == poly_to_text(p, NAMES)
+        r = RatFunc(p, X - Y)
+        json_form = ratfunc_to_json(r, NAMES)
+        assert ratfunc_to_text(r, NAMES) == f"({json_form['num']})/({json_form['den']})"
+        assert ratfunc_to_text(r, NAMES) == "(1*x^2 + -3/2*y + 1)/(1*x + -1*y)"
 
     def test_human_variants(self):
         assert poly_from_text("x - y", NAMES) == X - Y

@@ -51,12 +51,6 @@ class TestSuites:
         b = dump_json(strip_timings(run_suite(name)))
         assert a == b
 
-    def test_parallel_matches_serial(self):
-        scenario = json.loads(load_scenario_text("nilhecke-s3"))
-        serial = dump_json(strip_timings(run_scenario(scenario, jobs_parallel=1)))
-        parallel = dump_json(strip_timings(run_scenario(scenario, jobs_parallel=4)))
-        assert serial == parallel
-
     def test_inline_relation_ast(self, tmp_path, capsys):
         scenario = {
             "algebra": {"kind": "gt", "n": 2},
@@ -170,6 +164,48 @@ class TestExitCodes:
         capsys.readouterr()
 
 
+class TestJobValidation:
+    BALLS = {"name": "balls", "op": "monoid_growth",
+             "generators": [[1, 0], [0, 1]], "k_max": 4}
+
+    def _rejected(self, tmp_path, capsys, jobs, algebra=None):
+        scenario = {"algebra": algebra or {"kind": "shift_algebra", "n": 2, "m": 2},
+                    "jobs": jobs}
+        path = tmp_path / "invalid.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err
+
+    def test_negative_k_max(self, tmp_path, capsys):
+        err = self._rejected(tmp_path, capsys, [dict(self.BALLS, k_max=-5)])
+        assert "'balls'" in err and "k_max must be an integer >= 2" in err
+
+    @pytest.mark.parametrize("count", ["5", True])
+    def test_count_must_be_a_json_integer(self, tmp_path, capsys, count):
+        job = {"name": "trials", "op": "orbit_identities", "count": count, "seed": 1}
+        err = self._rejected(tmp_path, capsys, [job])
+        assert "'trials'" in err and "count must be an integer >= 1" in err
+
+    def test_fractional_k_max(self, tmp_path, capsys):
+        err = self._rejected(tmp_path, capsys, [dict(self.BALLS, k_max=2.7)])
+        assert "'balls'" in err and "k_max" in err and "2.7" in err
+
+    def test_missing_degree_bound(self, tmp_path, capsys):
+        job = {"name": "center", "op": "center_candidates"}
+        err = self._rejected(tmp_path, capsys, [job],
+                             algebra={"kind": "gwa", "preset": "witten-woronowicz"})
+        assert "'center'" in err and "missing parameter 'degree_bound'" in err
+
+    def test_malformed_second_job_fails_before_the_algebra_is_built(self, tmp_path, capsys):
+        second = dict(self.BALLS, name="second", k_max="3")
+        err = self._rejected(tmp_path, capsys, [self.BALLS, second],
+                             algebra={"kind": "mystery"})
+        assert "job 2 'second'" in err and "k_max" in err
+        assert "mystery" not in err
+
+
 class TestOutput:
     def test_json_output_and_hash(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -180,6 +216,14 @@ class TestOutput:
         assert report["aggregate"] == "pass"
         assert len(report["scenario_hash"]) == 64
         _validate_schema(report)
+
+    def test_only_timed_checks_carry_timing(self):
+        witness = run_suite("pi-witness")
+        assert all("timing_ms" in job for job in witness["jobs"])
+        assert not [c for job in witness["jobs"] for c in job["checks"] if "timing_ms" in c]
+        gt = run_suite("gt-2")
+        relations = [job for job in gt["jobs"] if job["op"] == "verify_relations"]
+        assert relations and all("timing_ms" in c for c in relations[0]["checks"])
 
     def test_no_timings_flag_reproducible(self, tmp_path, capsys):
         outs = []

@@ -246,4 +246,4 @@ class TestBimoduleIdentities:
         from skewmon.randomized import orbit_identity_trials
 
         report = orbit_identity_trials(s22, 25, seed=123)
-        assert report.passed, report.to_text()
+        assert report.passed, report.failures()

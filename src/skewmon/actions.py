@@ -11,7 +11,7 @@ substitutions.  Supported groups are finite groups of variable permutations,
 enumerated eagerly at construction up to a hard cap.
 """
 
-from .arith import NEG_INF, QQ, Polynomial, RatFunc, _as_coeff, substitute
+from .arith import NEG_INF, QQ, Polynomial, RatFunc, _as_coeff, _monic_den, substitute
 from .errors import (
     ContextMismatchError,
     NormalizationViolationError,
@@ -139,6 +139,7 @@ class ShiftAut(Automorphism):
         self.offsets = offsets
 
     def apply_poly(self, p):
+        # one variable at a time is exact here: each image involves only its own variable
         out = p
         nv = p.nvars
         for i, c in enumerate(self.offsets):
@@ -215,16 +216,7 @@ class ScalingAut(Automorphism):
         if any(common):
             new_num = new_num.divide_by_monomial(common)
             new_den = new_den.divide_by_monomial(common)
-        if new_den.is_constant():
-            c = new_den.constant_value()
-            return RatFunc._raw(
-                new_num.scale(1 / c), Polynomial.const(new_num.nvars, 1)
-            )
-        _, lc = new_den.leading_term()
-        if lc != 1:
-            inv = 1 / lc
-            new_num, new_den = new_num.scale(inv), new_den.scale(inv)
-        return RatFunc._raw(new_num, new_den)
+        return RatFunc._raw(*_monic_den(new_num, new_den))
 
     def _apply_laurent(self, p):
         """Return (polynomial, monomial-denominator-exponents)."""
@@ -303,15 +295,10 @@ class PermutationAut(Automorphism):
 
     def apply(self, f):
         num = f.num.permute_vars(self.images)
-        den = f.den.permute_vars(self.images)
-        if den.is_constant():
-            return RatFunc._raw(num, den)
+        if f.den.is_constant():  # the canonical 1, which every permutation fixes
+            return RatFunc._raw(num, f.den)
         # permuting variables can change the grlex leading coefficient
-        _, lc = den.leading_term()
-        if lc != 1:
-            inv = 1 / lc
-            num, den = num.scale(inv), den.scale(inv)
-        return RatFunc._raw(num, den)
+        return RatFunc._raw(*_monic_den(num, f.den.permute_vars(self.images)))
 
     def image_of_var(self, i):
         return RatFunc.variable(self.table.nvars, self.images[i])
@@ -648,10 +635,6 @@ class Context:
                 f = gens[i].power(k).apply(f)
         return f
 
-    def key_aut(self, key):
-        """The key's action packaged as an Automorphism (slow path, small uses)."""
-        return _KeyAut(self, tuple(key))
-
     def conjugate_key(self, g, key):
         """g.key = g key g^{-1}, with the result verified symbolically."""
         if isinstance(g, GroupElement):
@@ -710,26 +693,6 @@ class Context:
             kind = "N" if self.nonneg else "Z"
             return f"Context({self.table!r}, {kind}^{self.rank}, |G|={len(self.group)})"
         return f"Context({self.table!r}, finite-group keys, |W|={len(self.key_group)})"
-
-
-class _KeyAut(Automorphism):
-    """The action of a single monoid key, packaged as an Automorphism."""
-
-    __slots__ = ("table", "context", "key")
-
-    def __init__(self, context, key):
-        self.table = context.table
-        self.context = context
-        self.key = key
-
-    def apply(self, f):
-        return self.context.act_key(self.key, f)
-
-    def image_of_var(self, i):
-        return self.apply(RatFunc.variable(self.table.nvars, i))
-
-    def inverse(self):
-        return _KeyAut(self.context, self.context.key_inverse(self.key))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ against intervals.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import permutations
 
 from .arith import QQ, Polynomial, RatFunc, poly_lcm
@@ -22,6 +23,7 @@ from .errors import (
     PreconditionError,
     ResourceCapError,
     UnsupportedModeError,
+    WitnessVerificationError,
 )
 from .reports import Report
 from .skewring import SkewElement, commutator
@@ -389,22 +391,6 @@ def _monomials_up_to(table, degree):
     return sorted(monos, key=lambda e: (sum(e), e))
 
 
-def _fixing_automorphisms(spec):
-    """The substitutions a central polynomial must be fixed by."""
-    ctx = spec.context
-    auts = []
-    if ctx.mode == LATTICE:
-        for i in range(ctx.rank):
-            unit = tuple(1 if j == i else 0 for j in range(ctx.rank))
-            auts.append(ctx.key_aut(unit))
-    else:
-        for perm in ctx.key_group.gen_perms or [p for p in ctx.key_group.perms]:
-            auts.append(ctx.key_aut(perm))
-    for g in ctx.group.generator_elements():
-        auts.append(g.aut())
-    return auts
-
-
 def center_candidates(spec, degree_bound):
     """Basis of G-invariant polynomials of bounded degree fixed by the monoid.
 
@@ -417,15 +403,20 @@ def center_candidates(spec, degree_bound):
     ctx = spec.context
     table = ctx.table
     monos = _monomials_up_to(table, degree_bound)
-    col_of = {e: i for i, e in enumerate(monos)}
-    auts = _fixing_automorphisms(spec)
+    # the substitutions a central polynomial must be fixed by
+    if ctx.mode == LATTICE:
+        keys = [tuple(1 if j == i else 0 for j in range(ctx.rank)) for i in range(ctx.rank)]
+    else:
+        keys = ctx.key_group.gen_perms or ctx.key_group.perms
+    fixers = [partial(ctx.act_key, key) for key in keys]
+    fixers += [g.apply for g in ctx.group.generator_elements()]
 
-    rows = {}  # (aut index, constraint coordinate) -> {column: RatFunc entry}
-    for ai, aut in enumerate(auts):
+    rows = {}  # (fixer index, constraint coordinate) -> {column: RatFunc entry}
+    for ai, fix in enumerate(fixers):
         images = []
         den = Polynomial.const(table.nvars, 1)
         for e in monos:
-            img = aut.apply(RatFunc.from_poly(Polynomial.monomial(table.nvars, e)))
+            img = fix(RatFunc.from_poly(Polynomial.monomial(table.nvars, e)))
             images.append(img)
             if not img.den.is_constant():
                 den = poly_lcm(den, img.den)
@@ -492,7 +483,7 @@ def ore_witness(s, u):
     d = prod_mu mu^{-1}(s * den(l_mu)) and r = prod_{g in G} g(d); then
     u' = v * r has coefficients polynomial in the non-parameter variables.
     The identity u*r = s*u' is re-verified by an actual skew product before
-    returning.
+    returning; a failed re-check raises WitnessVerificationError.
     """
     ctx = u.context
     nvars = ctx.table.nvars
@@ -520,10 +511,10 @@ def ore_witness(s, u):
     lhs = u * SkewElement.scalar(ctx, r)
     rhs = SkewElement.scalar(ctx, s) * u_prime
     if lhs != rhs:
-        raise AssertionError("ore witness identity u*r = s*u' failed to verify")
+        raise WitnessVerificationError("ore witness identity u*r = s*u' failed to verify")
     for c in u_prime.coeffs.values():
         if not c.den.variables_present() <= param_ok:
-            raise AssertionError("ore witness produced a non-polynomial coefficient")
+            raise WitnessVerificationError("ore witness produced a non-polynomial coefficient")
     return u_prime, r
 
 

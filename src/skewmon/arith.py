@@ -24,6 +24,7 @@ pseudo-remainder sequence in a chosen main variable and monic Euclid at the
 univariate base.  No modular or heuristic shortcuts are used.
 """
 
+import math
 from fractions import Fraction
 
 from .errors import (
@@ -240,9 +241,8 @@ class Polynomial:
         num_gcd = 0
         den_lcm = 1
         for c in self.terms.values():
-            f = Fraction(c.numerator, c.denominator)
-            num_gcd = _int_gcd(num_gcd, f.numerator)
-            den_lcm = den_lcm * f.denominator // _int_gcd(den_lcm, f.denominator)
+            num_gcd = math.gcd(num_gcd, c.numerator)
+            den_lcm = math.lcm(den_lcm, c.denominator)
         return QQ(num_gcd, den_lcm)
 
     def monic(self):
@@ -362,13 +362,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.nvars}, {self.terms!r})"
-
-
-def _int_gcd(a, b):
-    a, b = abs(int(a)), abs(int(b))
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -540,18 +533,7 @@ class RatFunc:
             if not g.is_constant():
                 num = num.divide_exact(g)
                 den = den.divide_exact(g)
-        if den.is_constant():
-            c = den.constant_value()
-            num = num.scale(1 / c) if c != 1 else num
-            den = Polynomial.const(num.nvars, 1)
-        else:
-            _, lc = den.leading_term()
-            if lc != 1:
-                inv = 1 / lc
-                num = num.scale(inv)
-                den = den.scale(inv)
-        self.num = num
-        self.den = den
+        self.num, self.den = _monic_den(num, den)
 
     @classmethod
     def _raw(cls, num, den):
@@ -639,30 +621,12 @@ class RatFunc:
         if not g2.is_constant():
             c = c.divide_exact(g2)
             b = b.divide_exact(g2)
-        num = a * c
-        den = b * d
-        if den.is_constant():
-            cden = den.constant_value()
-            return RatFunc._raw(num.scale(1 / cden), Polynomial.const(self.nvars, 1))
-        _, lc = den.leading_term()
-        if lc != 1:
-            inv = 1 / lc
-            num = num.scale(inv)
-            den = den.scale(inv)
-        return RatFunc._raw(num, den)
+        return RatFunc._raw(*_monic_den(a * c, b * d))
 
     def invert(self):
         if self.num.is_zero():
             raise ZeroDivisionError("inversion of the zero rational function")
-        num, den = self.den, self.num
-        if den.is_constant():
-            return RatFunc._raw(num.scale(1 / den.constant_value()),
-                                Polynomial.const(self.nvars, 1))
-        _, lc = den.leading_term()
-        if lc != 1:
-            inv = 1 / lc
-            num, den = num.scale(inv), den.scale(inv)
-        return RatFunc._raw(num, den)
+        return RatFunc._raw(*_monic_den(self.den, self.num))
 
     def __truediv__(self, other):
         return self * other.invert()
@@ -670,14 +634,8 @@ class RatFunc:
     def __pow__(self, k):
         if k < 0:
             return self.invert() ** (-k)
-        out = RatFunc.const(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
+        # powers of a coprime pair are coprime, and of a monic polynomial monic
+        return RatFunc._raw(self.num**k, self.den**k)
 
     def scale(self, c):
         c = _as_coeff(c)
@@ -700,10 +658,21 @@ class RatFunc:
         return f"RatFunc({self.num!r}, {self.den!r})"
 
 
+def _monic_den(num, den):
+    """Canonical scaling of a coprime pair: the denominator becomes
+    grlex-monic, and exactly the unit polynomial when it is constant."""
+    lc = den.constant_value() if den.is_constant() else den.leading_term()[1]
+    if lc == 1:
+        return num, den
+    inv = 1 / lc
+    return num.scale(inv), den.scale(inv)
+
+
 def substitute(r, images):
     """Apply the substitution ``variable index -> RatFunc`` to r, exactly.
 
-    Variables without an image are left fixed.  Raises
+    All images are substituted at once, so ``{x -> y, y -> x}`` swaps x and
+    y.  Variables without an image are left fixed.  Raises
     DegenerateSubstitutionError when the substituted denominator vanishes
     identically.
     """
@@ -715,28 +684,11 @@ def substitute(r, images):
         if img.nvars != nvars:
             raise ContextMismatchError("substitution image over a different table")
         rf_images[i] = img
-
-    if all(img.is_polynomial() for img in rf_images.values()):
-        poly_images = {i: img.num for i, img in rf_images.items()}
-        num = _poly_substitute(r.num, poly_images)
-        den = _poly_substitute(r.den, poly_images)
-        if den.is_zero():
-            raise DegenerateSubstitutionError("denominator vanished under substitution")
-        return RatFunc(num, den)
-
     num = _ratfunc_substitute(r.num, rf_images)
     den = _ratfunc_substitute(r.den, rf_images)
     if den.is_zero():
         raise DegenerateSubstitutionError("denominator vanished under substitution")
     return num / den
-
-
-def _poly_substitute(p, images):
-    out = p
-    for i, img in images.items():
-        if out.degree_in(i) not in (NEG_INF, 0):
-            out = out.substitute_var(i, img)
-    return out
 
 
 def _ratfunc_substitute(p, images):

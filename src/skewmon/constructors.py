@@ -12,7 +12,6 @@
   Hecke-type subalgebras in additive type-A coordinates.
 """
 
-import time
 from dataclasses import dataclass
 
 from .arith import (
@@ -422,14 +421,17 @@ def hecke_membership_check(element, roots=None, mode="degenerate", vanishing_val
     def perm_name(w):
         return "(" + " ".join(str(x + 1) for x in w) + ")"
 
+    def zero_or_text(r):
+        return None if r.is_zero() else ratfunc_to_text(r, names)
+
     # condition 1b: poles only along root hyperplanes
     all_forms = [
         Polynomial.variable(n, i) - Polynomial.variable(n, j)
         for i in range(n)
         for j in range(i + 1, n)
     ]
-    for w in support:
-        t0 = time.perf_counter()
+
+    def leftover_denominator(w):
         den = element.coeffs[w].den
         for h in all_forms:
             hm = h.monic()
@@ -438,12 +440,12 @@ def hecke_membership_check(element, roots=None, mode="degenerate", vanishing_val
                 if q is None:
                     break
                 den = q
-        ok = den.is_constant()
-        report.add(
+        return None if den.is_constant() else f"leftover denominator {den!r}"
+
+    for w in support:
+        report.check(
             f"cond1: poles of f_{perm_name(w)} lie on root hyperplanes",
-            "pass" if ok else "fail",
-            residual=None if ok else f"leftover denominator {den!r}",
-            timing_ms=(time.perf_counter() - t0) * 1000.0,
+            lambda w=w: leftover_denominator(w),
         )
 
     for (i, j) in roots:
@@ -454,15 +456,15 @@ def hecke_membership_check(element, roots=None, mode="degenerate", vanishing_val
         s_alpha = tuple(s_alpha)
 
         orders = {}
-        for w in support:
-            t0 = time.perf_counter()
+
+        def order_at_most_one(w):
             orders[w] = pole_order(element.coeffs[w], h, 0)
-            ok = orders[w] <= 1
-            report.add(
+            return None if orders[w] <= 1 else f"pole order {orders[w]}"
+
+        for w in support:
+            report.check(
                 f"cond1: pole order of f_{perm_name(w)} along {alpha_name} <= 1",
-                "pass" if ok else "fail",
-                residual=None if ok else f"pole order {orders[w]}",
-                timing_ms=(time.perf_counter() - t0) * 1000.0,
+                lambda w=w: order_at_most_one(w),
             )
 
         seen_pairs = set()
@@ -479,16 +481,12 @@ def hecke_membership_check(element, roots=None, mode="degenerate", vanishing_val
                     residual="higher-order pole; residue undefined",
                 )
                 continue
-            t0 = time.perf_counter()
-            res_w = residue_along(element.coefficient(w), h, 0)
-            res_p = residue_along(element.coefficient(partner), h, 0)
-            total = res_w + res_p
-            ok = total.is_zero()
-            report.add(
+            report.check(
                 f"cond3: Res f_{perm_name(w)} + Res f_{perm_name(partner)} = 0 along {alpha_name}",
-                "pass" if ok else "fail",
-                residual=None if ok else ratfunc_to_text(total, names),
-                timing_ms=(time.perf_counter() - t0) * 1000.0,
+                lambda w=w, partner=partner: zero_or_text(
+                    residue_along(element.coefficient(w), h, 0)
+                    + residue_along(element.coefficient(partner), h, 0)
+                ),
             )
 
         if mode == "q":
@@ -505,15 +503,10 @@ def hecke_membership_check(element, roots=None, mode="degenerate", vanishing_val
                         residual="higher-order pole; restriction undefined",
                     )
                     continue
-                t0 = time.perf_counter()
-                restricted = restrict_to_hyperplane(
-                    element.coefficient(w), h, QQ(vanishing_value)
-                )
-                ok = restricted.is_zero()
-                report.add(
+                report.check(
                     f"cond4: f_{perm_name(w)} vanishes on {alpha_name} = {vanishing_value}",
-                    "pass" if ok else "fail",
-                    residual=None if ok else ratfunc_to_text(restricted, names),
-                    timing_ms=(time.perf_counter() - t0) * 1000.0,
+                    lambda w=w: zero_or_text(
+                        restrict_to_hyperplane(element.coefficient(w), h, QQ(vanishing_value))
+                    ),
                 )
     return report

@@ -50,6 +50,10 @@ class PreconditionError(SkewmonError):
     """Generic violated precondition (bad parameters, empty input, ...)."""
 
 
+class WitnessVerificationError(SkewmonError):
+    """A constructed witness failed the exact re-check of its defining identity."""
+
+
 class DefinitionError(SkewmonError):
     """A relation or scenario referenced a name that does not resolve."""
 

@@ -9,7 +9,7 @@ import random
 
 from .arith import Polynomial, QQ, RatFunc
 from .actions import MonoidElement, stabilizer
-from .errors import PreconditionError
+from .errors import PreconditionError, WitnessVerificationError
 from .reports import Report
 from .skewring import SkewElement, orbit_sum
 from .analysis import ore_witness, standard_identity
@@ -105,7 +105,7 @@ def ore_witness_trials(ctx, count, seed):
         trial += 1
         try:
             u_prime, r = ore_witness(s, u)
-        except (AssertionError, PreconditionError) as exc:
+        except (WitnessVerificationError, PreconditionError) as exc:
             report.add(f"trial {trial}", "fail", residual=str(exc))
             continue
         ok = not r.is_zero() and all(

@@ -42,14 +42,23 @@ class Report:
     def add(self, name, status, residual=None, timing_ms=None):
         self.checks.append(CheckResult(name, status, residual, timing_ms))
 
-    def check_zero(self, name, compute):
-        """Time compute() and record pass if its result is zero, otherwise
-        the result's canonical text as the residual."""
+    def check(self, name, compute):
+        """Time compute() and record pass if it returns None, otherwise fail
+        with the returned text as the residual."""
         t0 = time.perf_counter()
-        value = compute()
+        residual = compute()
         dt = (time.perf_counter() - t0) * 1000.0
-        ok = value.is_zero()
-        self.add(name, "pass" if ok else "fail", None if ok else value.to_text(), dt)
+        self.add(name, "pass" if residual is None else "fail", residual, dt)
+
+    def check_zero(self, name, compute):
+        """Timed check that compute() returns zero; the residual is the
+        result's canonical text otherwise."""
+
+        def residual():
+            value = compute()
+            return None if value.is_zero() else value.to_text()
+
+        self.check(name, residual)
 
     def failures(self):
         return [c for c in self.checks if not c.ok]

@@ -84,6 +84,24 @@ class TestAutomorphisms:
         with pytest.raises(PreconditionError):
             GeneralAut(t, {0: a + b}, {0: a + b})
 
+    def test_general_aut_swap(self):
+        t = VariableTable(["a", "b"])
+        a, b = t.var("a"), t.var("b")
+        g = GeneralAut(t, {0: b, 1: a}, {0: b, 1: a})
+        assert g.apply(a * a + b) == b * b + a
+
+    def test_general_aut_polynomial_images_roundtrip(self):
+        ctx = build_shift_algebra(2, 2)
+        a, b = ctx.table.var("x1"), ctx.table.var("x2")
+        # a -> b, b -> a+b  with inverse a -> b-a, b -> a
+        g = GeneralAut(ctx.table, {0: b, 1: a + b}, {0: b - a, 1: a})
+        assert g.apply(a * b) == a * b + b * b
+        rng = random.Random(29)
+        for _ in range(10):
+            f = _rand_rf(rng, ctx)
+            assert g.inverse().apply(g.apply(f)) == f
+            assert g.apply(g.inverse().apply(f)) == f
+
     def test_act_is_ring_homomorphism(self):
         rng = random.Random(11)
         ctx = build_shift_algebra(2, 2)

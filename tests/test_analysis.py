@@ -9,7 +9,9 @@ from skewmon.errors import (
     DefinitionError,
     PreconditionError,
     ResourceCapError,
+    SkewmonError,
     UnsupportedModeError,
+    WitnessVerificationError,
 )
 from skewmon.constructors import (
     AlgebraSpec,
@@ -377,6 +379,18 @@ class TestOreWitness:
         ctx = build_shift_algebra(2, 2, group_generators=[(1, 0)])
         report = ore_witness_trials(ctx, 15, seed=6)
         assert report.passed, report.failures()
+
+    def test_battery_records_failed_verification(self, monkeypatch):
+        import skewmon.randomized as randomized
+
+        def unverified(s, u):
+            raise WitnessVerificationError("u*r = s*u' failed to verify")
+
+        assert issubclass(WitnessVerificationError, SkewmonError)
+        monkeypatch.setattr(randomized, "ore_witness", unverified)
+        report = ore_witness_trials(build_shift_algebra(2, 2), 3, seed=5)
+        assert [c.status for c in report.checks] == ["fail"] * 3
+        assert report.checks[0].residual == "u*r = s*u' failed to verify"
 
 
 class TestStandardIdentity:

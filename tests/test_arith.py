@@ -199,6 +199,13 @@ class TestSubstitute:
         with pytest.raises(DegenerateSubstitutionError):
             substitute(rf(ONE, X - Y), {0: rf(Y)})
 
+    def test_swap_is_simultaneous(self):
+        assert substitute(rf(X * X + Y), {0: rf(Y), 1: rf(X)}) == rf(Y * Y + X)
+
+    def test_polynomial_images_are_not_substituted_again(self):
+        # x -> y, y -> x + y sends x*y to y*(x + y), not to (x + y)^2
+        assert substitute(rf(X * Y), {0: rf(Y), 1: rf(X + Y)}) == rf(X * Y + Y * Y)
+
     def test_identity_map(self):
         rng = random.Random(3)
         for _ in range(10):

@@ -225,6 +225,14 @@ class TestOutput:
         relations = [job for job in gt["jobs"] if job["op"] == "verify_relations"]
         assert relations and all("timing_ms" in c for c in relations[0]["checks"])
 
+    def test_hecke_conditions_are_timed(self):
+        with open(os.path.join(DATA, "broken-hecke.json")) as fh:
+            report = run_scenario(json.load(fh))
+        checks = [c for job in report["jobs"] if job["op"] == "hecke_check"
+                  for c in job["checks"]]
+        assert checks and all("timing_ms" in c for c in checks)
+        assert any(c["status"] == "fail" and c["residual"] for c in checks)
+
     def test_no_timings_flag_reproducible(self, tmp_path, capsys):
         outs = []
         for i in range(2):

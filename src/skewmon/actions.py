@@ -41,10 +41,6 @@ class VariableTable:
     def nvars(self):
         return len(self.names)
 
-    @property
-    def n_params(self):
-        return self.nvars - self.n_acted - self.n_fixed
-
     def index(self, name):
         return self._index[name]
 
@@ -56,9 +52,6 @@ class VariableTable:
 
     def param_indices(self):
         return range(self.n_acted + self.n_fixed, self.nvars)
-
-    def nonparam_indices(self):
-        return range(self.n_acted + self.n_fixed)
 
     def var(self, name):
         return RatFunc.variable(self.nvars, self.index(name))
@@ -304,10 +297,7 @@ class PermutationAut(Automorphism):
         return RatFunc.variable(self.table.nvars, self.images[i])
 
     def inverse(self):
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return PermutationAut(self.table, tuple(inv))
+        return PermutationAut(self.table, _perm_inverse(self.images))
 
     def __repr__(self):
         return f"PermutationAut({self.images})"
@@ -403,16 +393,18 @@ class Group:
 
     The enumeration order (identity first, then breadth-first products with
     the generators in their given order) is deterministic and is the order
-    used for coset-representative choices downstream.
+    used for coset-representative choices downstream.  Every element is built
+    and validated once, here.
     """
 
-    __slots__ = ("table", "perms", "gen_perms", "_pos")
+    __slots__ = ("table", "perms", "gen_perms", "_pos", "_elements")
 
     def __init__(self, table, perms, gen_perms=()):
         self.table = table
         self.perms = tuple(perms)
         self.gen_perms = tuple(gen_perms)
         self._pos = {p: i for i, p in enumerate(self.perms)}
+        self._elements = tuple(GroupElement(self, i) for i in range(len(self.perms)))
 
     @classmethod
     def trivial(cls, table):
@@ -450,17 +442,17 @@ class Group:
         return len(self.perms)
 
     def __iter__(self):
-        return (GroupElement(self, i) for i in range(len(self.perms)))
+        return iter(self._elements)
 
     @property
     def identity(self):
-        return GroupElement(self, 0)
+        return self._elements[0]
 
     def element_of(self, perm):
         i = self._pos.get(tuple(perm))
         if i is None:
             raise PreconditionError(f"{perm} is not an element of the group")
-        return GroupElement(self, i)
+        return self._elements[i]
 
     def compose(self, g, h):
         return self.element_of(_perm_compose(g.perm, h.perm))
@@ -468,48 +460,38 @@ class Group:
     def inverse(self, g):
         return self.element_of(_perm_inverse(g.perm))
 
-    def is_trivial(self):
-        return len(self.perms) == 1
-
     def generator_elements(self):
         """Generators when known, otherwise every non-identity element."""
         if self.gen_perms:
             return [self.element_of(p) for p in self.gen_perms]
-        return [GroupElement(self, i) for i in range(1, len(self.perms))]
+        return list(self._elements[1:])
 
     def __repr__(self):
         return f"Group(order={len(self.perms)})"
 
 
-class GroupElement:
-    """An element of an enumerated permutation group."""
+class GroupElement(PermutationAut):
+    """An element of an enumerated permutation group: its own automorphism.
+
+    A group builds each of its elements once, so equality is identity.
+    """
 
     __slots__ = ("group", "index")
 
     def __init__(self, group, index):
+        super().__init__(group.table, group.perms[index])
         self.group = group
         self.index = index
 
     @property
     def perm(self):
-        return self.group.perms[self.index]
+        return self.images
 
-    def aut(self):
-        return PermutationAut(self.group.table, self.perm)
-
-    def apply(self, f):
-        return self.aut().apply(f)
+    def inverse(self):
+        return self.group.inverse(self)
 
     def is_identity(self):
         return self.index == 0
-
-    def __eq__(self, other):
-        if not isinstance(other, GroupElement):
-            return NotImplemented
-        return self.group is other.group and self.index == other.index
-
-    def __hash__(self):
-        return hash((id(self.group), self.index))
 
     def __repr__(self):
         return f"GroupElement({self.perm})"
@@ -603,7 +585,7 @@ class Context:
     def act_key(self, key, f):
         """Apply the automorphism named by a key to a rational function."""
         if self.mode == FINITE_GROUP:
-            return PermutationAut(self.table, key).apply(f)
+            return self.key_group.element_of(key).apply(f)
         if not any(key):
             return f
         gens = self.generators
@@ -636,13 +618,8 @@ class Context:
         return f
 
     def conjugate_key(self, g, key):
-        """g.key = g key g^{-1}, with the result verified symbolically."""
-        if isinstance(g, GroupElement):
-            perm = g.perm
-        elif isinstance(g, PermutationAut):
-            perm = g.images
-        else:
-            perm = tuple(g)
+        """g.key = g key g^{-1} for a PermutationAut g, verified symbolically."""
+        perm = g.images
         if self.mode == FINITE_GROUP:
             out = _perm_compose(perm, _perm_compose(key, _perm_inverse(perm)))
             if not self.key_valid(out):
@@ -666,23 +643,22 @@ class Context:
             candidate = tuple(out)
         else:
             candidate = tuple(key)
-        self._verify_conjugation(perm, key, candidate)
+        self._verify_conjugation(g, key, candidate)
         if not self.key_valid(candidate):
             raise NormalizationViolationError(
                 f"conjugated key {candidate} left the monoid"
             )
         return candidate
 
-    def _verify_conjugation(self, perm, key, candidate):
-        aut_g = PermutationAut(self.table, perm)
-        aut_g_inv = aut_g.inverse()
+    def _verify_conjugation(self, g, key, candidate):
+        g_inv = g.inverse()
         nv = self.table.nvars
         for i in range(nv):
-            lhs = aut_g.apply(self.act_key(key, aut_g_inv.apply(RatFunc.variable(nv, i))))
+            lhs = g.apply(self.act_key(key, g_inv.apply(RatFunc.variable(nv, i))))
             rhs = self.act_key(candidate, RatFunc.variable(nv, i))
             if lhs != rhs:
                 raise NormalizationViolationError(
-                    f"conjugation of {key} by {perm} is not a lattice element"
+                    f"conjugation of {key} by {g.images} is not a lattice element"
                 )
 
     def render_key(self, key):
@@ -731,8 +707,8 @@ def act(a, f):
     """Apply an automorphism or a monoid element to a rational function."""
     if isinstance(a, Automorphism):
         return a.apply(f)
-    if isinstance(a, (MonoidElement, GroupElement)):
-        return a.act(f) if isinstance(a, MonoidElement) else a.apply(f)
+    if isinstance(a, MonoidElement):
+        return a.act(f)
     raise PreconditionError(f"cannot act with {a!r}")
 
 

@@ -283,6 +283,17 @@ def _split_by_nonparam(poly, table):
     }
 
 
+def _subtract_multiple(row, factor, pivot_row):
+    """row -= factor * pivot_row in place, dropping entries that become zero."""
+    for c, v in pivot_row.items():
+        cur = row.get(c)
+        nxt = (cur - factor * v) if cur is not None else -(factor * v)
+        if nxt.is_zero():
+            row.pop(c, None)
+        else:
+            row[c] = nxt
+
+
 class _SpanReducer:
     """Incremental row reduction over the parameter fraction field.
 
@@ -297,22 +308,12 @@ class _SpanReducer:
         # eliminating the smallest pivot coordinate can only introduce larger
         # coordinates, so this loop terminates
         vec = dict(vec)
+        pivot_rows = self.pivot_rows
         while True:
-            hit = None
-            for coord in sorted(vec):
-                if coord in self.pivot_rows:
-                    hit = coord
-                    break
+            hit = min((c for c in vec if c in pivot_rows), default=None)
             if hit is None:
                 return vec
-            factor = vec[hit]
-            for c2, v2 in self.pivot_rows[hit].items():
-                cur = vec.get(c2)
-                nxt = (cur - factor * v2) if cur is not None else -(factor * v2)
-                if nxt.is_zero():
-                    vec.pop(c2, None)
-                else:
-                    vec[c2] = nxt
+            _subtract_multiple(vec, vec[hit], pivot_rows[hit])
 
     def add(self, vec):
         """Reduce vec against the span; extend the basis if independent."""
@@ -324,14 +325,7 @@ class _SpanReducer:
         vec = {c: v * inv for c, v in vec.items()}
         for row in self.pivot_rows.values():
             if pivot in row:
-                factor = row[pivot]
-                for c2, v2 in vec.items():
-                    cur = row.get(c2)
-                    nxt = (cur - factor * v2) if cur is not None else -(factor * v2)
-                    if nxt.is_zero():
-                        row.pop(c2, None)
-                    else:
-                        row[c2] = nxt
+                _subtract_multiple(row, row[pivot], vec)
         self.pivot_rows[pivot] = vec
         return True
 
@@ -343,24 +337,23 @@ class _SpanReducer:
         return len(self.pivot_rows)
 
 
-def _element_vectors(elements, table):
-    """Coordinate vectors of skew elements against per-key common denominators.
+def _element_vectors(coeff_maps, table):
+    """Coordinate vectors of key -> RatFunc maps against per-key common denominators.
 
     Coordinates are (key, non-parameter exponent tuple); entries live in the
     parameter fraction field.  The per-key denominator is the lcm over all
-    the given elements, so the map is linear on this set.
+    the given maps, so the map to coordinates is linear on this set.
     """
-    nvars = table.nvars
-    one = Polynomial.const(nvars, 1)
+    one = Polynomial.const(table.nvars, 1)
     common = {}
-    for u in elements:
-        for key, c in u.coeffs.items():
+    for coeffs in coeff_maps:
+        for key, c in coeffs.items():
             cur = common.get(key, one)
             common[key] = poly_lcm(cur, c.den) if not c.den.is_constant() else cur
     vectors = []
-    for u in elements:
+    for coeffs in coeff_maps:
         vec = {}
-        for key, c in u.coeffs.items():
+        for key, c in coeffs.items():
             cleared = c.num * common[key].divide_exact(c.den)
             for head, tail_poly in _split_by_nonparam(cleared, table).items():
                 vec[(key, head)] = RatFunc.from_poly(tail_poly)
@@ -411,32 +404,20 @@ def center_candidates(spec, degree_bound):
     fixers = [partial(ctx.act_key, key) for key in keys]
     fixers += [g.apply for g in ctx.group.generator_elements()]
 
+    # column e holds fix(x^e) - x^e for every fixer; its rows are the
+    # coordinates (fixer index, non-parameter exponents) of those differences
+    columns = []
+    for e in monos:
+        x_e = RatFunc.from_poly(Polynomial.monomial(table.nvars, e))
+        columns.append({ai: fix(x_e) - x_e for ai, fix in enumerate(fixers)})
     rows = {}  # (fixer index, constraint coordinate) -> {column: RatFunc entry}
-    for ai, fix in enumerate(fixers):
-        images = []
-        den = Polynomial.const(table.nvars, 1)
-        for e in monos:
-            img = fix(RatFunc.from_poly(Polynomial.monomial(table.nvars, e)))
-            images.append(img)
-            if not img.den.is_constant():
-                den = poly_lcm(den, img.den)
-        for col, (e, img) in enumerate(zip(monos, images)):
-            diff = img.num * den.divide_exact(img.den) - Polynomial.monomial(
-                table.nvars, e
-            ) * den
-            for head, tail in _split_by_nonparam(diff, table).items():
-                row = rows.setdefault((ai, head), {})
-                entry = RatFunc.from_poly(tail)
-                if col in row:
-                    entry = row[col] + entry
-                if entry.is_zero():
-                    row.pop(col, None)
-                else:
-                    row[col] = entry
+    for col, vec in enumerate(_element_vectors(columns, table)):
+        for coord, entry in vec.items():
+            rows.setdefault(coord, {})[col] = entry
 
     reducer = _SpanReducer()
-    for key in sorted(rows, key=lambda k: (k[0], k[1])):
-        reducer.add(rows[key])
+    for coord in sorted(rows):
+        reducer.add(rows[coord])
     pivot_rows = reducer.pivot_rows
 
     basis = []
@@ -646,10 +627,14 @@ def growth_profile(frame, k_max, dim_cap=DEFAULT_DIM_CAP):
     def reduce_layer(elements):
         reducer = _SpanReducer()
         basis = []
-        for u, vec in zip(elements, _element_vectors(elements, table)):
+        for u, vec in zip(elements, _element_vectors([x.coeffs for x in elements], table)):
             if reducer.add(vec):
                 basis.append(u)
         return basis
+
+    def profile(dims):
+        window = (max(1, len(dims) // 2), len(dims))
+        return GrowthProfile(dims, fit_loglog_slope(dims, window), window)
 
     dims = []
     basis = reduce_layer(list(frame))
@@ -662,15 +647,10 @@ def growth_profile(frame, k_max, dim_cap=DEFAULT_DIM_CAP):
         basis = reduce_layer(candidates)
         dims.append(len(basis))
         if len(basis) > dim_cap:
-            partial = GrowthProfile(
-                dims, fit_loglog_slope(dims, (max(1, len(dims) // 2), len(dims))),
-                (max(1, len(dims) // 2), len(dims)),
-            )
             raise ResourceCapError(
-                f"span dimension {len(basis)} exceeded the cap {dim_cap}", partial=partial
+                f"span dimension {len(basis)} exceeded the cap {dim_cap}", partial=profile(dims)
             )
-    window = (max(1, k_max // 2), k_max)
-    return GrowthProfile(dims, fit_loglog_slope(dims, window), window)
+    return profile(dims)
 
 
 def monoid_growth(generators, k_max):

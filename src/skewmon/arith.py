@@ -19,9 +19,11 @@ of a polynomial up to scalars has grlex leading coefficient 1, and a
 ``RatFunc`` stores a coprime numerator/denominator pair whose denominator is
 canonical in that sense.
 
-GCD is computed exactly by content/primitive-part recursion with a primitive
-pseudo-remainder sequence in a chosen main variable and monic Euclid at the
-univariate base.  No modular or heuristic shortcuts are used.
+GCD is computed exactly by content/primitive-part recursion with the
+subresultant pseudo-remainder sequence (Collins 1967; Brown 1971) in a chosen
+main variable, whose exact divisions keep coefficient growth polynomial, and
+monic Euclid at the univariate base.  No modular or heuristic shortcuts are
+used.
 """
 
 import math
@@ -416,20 +418,21 @@ def _gcd_primitive_parts(p, q):
     cq, qp = _content_and_primitive(q, v)
     c = poly_gcd(cp, cq)
 
+    # both primitive parts have positive degree in v, and so has every b below
     a, b = (pp, qp) if p.degree_in(v) >= q.degree_in(v) else (qp, pp)
+    g = h = Polynomial.const(p.nvars, 1)
     while True:
-        if b.is_zero():
-            g = a
-            break
-        if b.degree_in(v) == 0:
-            g = Polynomial.const(p.nvars, 1)
-            break
+        delta = a.degree_in(v) - b.degree_in(v)
         r = _pseudo_rem(a, b, v)
         if r.is_zero():
-            g = b
-            break
-        a, b = b, _content_and_primitive(r, v)[1]
-    return c * g
+            # the first b is one of the primitive parts already
+            return c * (b if b is pp or b is qp else _content_and_primitive(b, v)[1])
+        if r.degree_in(v) == 0:
+            return c
+        a, b = b, r.divide_exact(g * h**delta)
+        g = a.coeffs_in(v)[a.degree_in(v)]
+        if delta:
+            h = (g**delta).divide_exact(h ** (delta - 1))
 
 
 def _gcd_univariate(p, q, v):
@@ -479,10 +482,10 @@ def _content_and_primitive(p, v):
 
 
 def _pseudo_rem(a, b, v):
-    """A pseudo-remainder of a by b in the variable v (content discarded later)."""
+    """The exact pseudo-remainder lc_v(b)^(deg_v(a) - deg_v(b) + 1) * a mod b."""
     db = b.degree_in(v)
-    by_deg_b = b.coeffs_in(v)
-    lcb = by_deg_b[db]
+    lcb = b.coeffs_in(v)[db]
+    missing = a.degree_in(v) - db + 1  # factors of lc(b) still owed
     r = a
     while not r.is_zero():
         dr = r.degree_in(v)
@@ -492,7 +495,8 @@ def _pseudo_rem(a, b, v):
         shift = [0] * r.nvars
         shift[v] = dr - db
         r = lcb * r - (b * lcr).mul_term(tuple(shift), QQ(1))
-    return r
+        missing -= 1
+    return lcb**missing * r if missing and not r.is_zero() else r
 
 
 def poly_lcm(p, q):

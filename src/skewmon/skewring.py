@@ -22,7 +22,7 @@ from .errors import (
     InvarianceError,
     StabilizerInvarianceError,
 )
-from .actions import GroupElement, MonoidElement
+from .actions import MonoidElement
 
 
 class SkewElement:
@@ -80,9 +80,6 @@ class SkewElement:
 
     def is_zero(self):
         return not self.coeffs
-
-    def support_keys(self):
-        return set(self.coeffs)
 
     def coefficient(self, key):
         key = tuple(key)
@@ -213,13 +210,12 @@ def commutator(u, v):
 
 
 def g_action(g, u):
-    """(a mu)^g = g(a) (g.mu), extended additively; an algebra automorphism."""
+    """(a mu)^g = g(a) (g.mu) for a PermutationAut g; an algebra automorphism."""
     ctx = u.context
-    aut = g.aut() if isinstance(g, GroupElement) else g
     out = {}
     for key, a in u.coeffs.items():
         new_key = ctx.conjugate_key(g, key)
-        val = aut.apply(a)
+        val = g.apply(a)
         s = out.get(new_key)
         s = val if s is None else s + val
         if s.is_zero():

@@ -235,6 +235,19 @@ class TestGroup:
         with pytest.raises(NormalizationViolationError):
             conjugate(g, MonoidElement(ctx, (1,)))
 
+    def test_invalid_permutation_fails_at_construction(self):
+        t = VariableTable(["a", "b", "c"])
+        with pytest.raises(PreconditionError):
+            Group(t, [(0, 1, 2), (0, 0, 1)])
+
+    def test_element_is_its_own_automorphism(self):
+        ctx = build_shift_algebra(3, 3, group_generators=[(1, 0, 2), (0, 2, 1)])
+        f = ctx.table.var("x1") ** 2 / (ctx.table.var("x2") + ctx.table.var("x3").scale(3))
+        for g in ctx.group:
+            assert isinstance(g, PermutationAut)
+            assert act(g, f) == g.apply(f)
+            assert g.apply(f) == PermutationAut(ctx.table, g.perm).apply(f)
+
     def test_act_dispatch(self):
         ctx = build_shift_algebra(2, 1)
         x1 = ctx.table.var("x1")

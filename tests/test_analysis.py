@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from skewmon.arith import RatFunc, poly_to_text
-from skewmon.actions import MonoidElement
+from skewmon.actions import LATTICE, Context, MonoidElement, ScalingAut, VariableTable
 from skewmon.errors import (
     DefinitionError,
     PreconditionError,
@@ -295,6 +295,15 @@ class TestCenter:
                 p = a * b
                 if p.num.total_degree() <= 4:
                     assert reducer.contains(vec_of(p))
+
+    def test_parameter_scaling_clears_denominators(self):
+        # x -> x/q puts q in the denominator of every image of a power of x
+        t = VariableTable(["x", "y"], [], ["q"])
+        g = ScalingAut(t, (1, 1, 1), ((0, 0, -1), (0, 0, 1), (0, 0, 0)))
+        spec = AlgebraSpec(Context(t, LATTICE, [g]), {}, [])
+        basis = center_candidates(spec, 4)
+        assert [poly_to_text(b.num, t.names) for b in basis] == ["1", "1*x*y", "1*x^2*y^2"]
+        assert all(b.is_polynomial() for b in basis)
 
     def test_always_contains_constants(self):
         alg = gt_embedding(2)

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -129,6 +132,29 @@ class TestPolyGcd:
         c = x + y * z + one
         g = poly_gcd(c * (x - y), c * (y + z))
         assert g == c.monic()
+
+    def test_gcd_of_coprime_sum_finishes(self):
+        # a coprime pair in 3 variables of total degree 10 and 8; a primitive
+        # remainder sequence ran on it for over five minutes
+        code = (
+            "from skewmon.arith import RatFunc, poly_from_text, poly_gcd, poly_to_text\n"
+            "N = ('x', 'y', 'z')\n"
+            "def rf(n, d):\n"
+            "    return RatFunc(poly_from_text(n, N), poly_from_text(d, N))\n"
+            "r = rf('-1/2*x^2*z^2 + 3*y^2*z', 'y^2*z^2 - 2*y*z + 2*x')\n"
+            "s = rf('-2/3*x^2*y^2*z^2 - 2/3*x^2*z + y',\n"
+            "       'x*y^2*z + 3/2*x^2*y + 4/3*y*z - 3*z^2')\n"
+            "t = r + s\n"
+            "print(poly_to_text(poly_gcd(t.num, t.den), N))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "1"
 
     def test_lcm(self):
         g = poly_lcm(X * Y, X)

@@ -26,10 +26,11 @@ SCALING_TABLE = VariableTable(["x", "y"], [], ["q"])
 PERM_TABLE = VariableTable(["x", "y", "z"])
 
 coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
-# multilinear polynomials with few terms: poly_gcd is slow on coprime inputs of
-# total degree 8 or more, and products of these stay below that
+# exponents up to 2 in each variable: sums and products of these reach the
+# coprime pairs of total degree 8 to 10 on which a primitive remainder sequence
+# without subresultant division ran for minutes
 polys = st.dictionaries(
-    st.tuples(*[st.integers(0, 1)] * NV), coeffs, max_size=3
+    st.tuples(*[st.integers(0, 2)] * NV), coeffs, max_size=4
 ).map(lambda terms: Polynomial(NV, terms))
 nonzero_polys = polys.filter(lambda p: not p.is_zero())
 ratfuncs = st.builds(RatFunc, polys, nonzero_polys)

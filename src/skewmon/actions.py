@@ -518,7 +518,9 @@ class Context:
     acting on the variables, and the "monoid" is W itself.
     """
 
-    __slots__ = ("table", "mode", "generators", "nonneg", "group", "coord_vars", "key_group")
+    __slots__ = (
+        "table", "mode", "generators", "nonneg", "group", "coord_vars", "key_group", "_certified"
+    )
 
     def __init__(
         self,
@@ -537,6 +539,7 @@ class Context:
         self.group = group if group is not None else Group.trivial(table)
         self.coord_vars = tuple(coord_vars) if coord_vars is not None else None
         self.key_group = key_group
+        self._certified = set()  # permutations whose lattice conjugation is proven
         if mode == LATTICE:
             for i, a in enumerate(self.generators):
                 for b in self.generators[i + 1 :]:
@@ -618,7 +621,12 @@ class Context:
         return f
 
     def conjugate_key(self, g, key):
-        """g.key = g key g^{-1} for a PermutationAut g, verified symbolically."""
+        """g.key = g key g^{-1} for a PermutationAut g, verified symbolically.
+
+        In lattice mode the coordinate rule is certified once per permutation,
+        not once per key: see ``_certify``.  When the certificate fails,
+        nothing is cached and each key is verified on its own.
+        """
         perm = g.images
         if self.mode == FINITE_GROUP:
             out = _perm_compose(perm, _perm_compose(key, _perm_inverse(perm)))
@@ -629,26 +637,49 @@ class Context:
             return out
         if perm == tuple(range(self.table.nvars)):
             return tuple(key)
-        if self.coord_vars is not None:
-            var_of = {v: i for i, v in enumerate(self.coord_vars)}
-            out = [0] * len(key)
-            for i, v in enumerate(self.coord_vars):
-                target = perm[v]
-                j = var_of.get(target)
-                if j is None:
-                    raise NormalizationViolationError(
-                        "permutation moves an acted variable outside the lattice"
-                    )
-                out[j] = key[i]
-            candidate = tuple(out)
-        else:
-            candidate = tuple(key)
-        self._verify_conjugation(g, key, candidate)
+        candidate = self._coord_image(perm, key)
+        if perm not in self._certified and not self._certify(g):
+            self._verify_conjugation(g, key, candidate)
         if not self.key_valid(candidate):
             raise NormalizationViolationError(
                 f"conjugated key {candidate} left the monoid"
             )
         return candidate
+
+    def _coord_image(self, perm, key):
+        """The lattice key whose coordinates are those of key, moved by perm."""
+        if self.coord_vars is None:
+            return tuple(key)
+        var_of = {v: i for i, v in enumerate(self.coord_vars)}
+        out = [0] * len(key)
+        for i, v in enumerate(self.coord_vars):
+            j = var_of.get(perm[v])
+            if j is None:
+                raise NormalizationViolationError(
+                    "permutation moves an acted variable outside the lattice"
+                )
+            out[j] = key[i]
+        return tuple(out)
+
+    def _certify(self, g):
+        """Prove s act(e_i) s^{-1} = act(sigma_s e_i) on every unit vector e_i.
+
+        ``act_key`` and conjugation are homomorphisms of the lattice, and the
+        coordinate rule sigma composes like the permutations, so checking the
+        generators of ``self.group`` certifies every element of it on every
+        key.  A permutation from another group is checked by itself.
+        """
+        own = getattr(g, "group", None) is self.group
+        checked = self.group.generator_elements() if own else [g]
+        try:
+            for s in checked:
+                for i in range(self.rank):
+                    unit = tuple(int(j == i) for j in range(self.rank))
+                    self._verify_conjugation(s, unit, self._coord_image(s.images, unit))
+        except NormalizationViolationError:
+            return False
+        self._certified.update(self.group.perms if own else [g.images])
+        return True
 
     def _verify_conjugation(self, g, key, candidate):
         g_inv = g.inverse()
@@ -723,7 +754,11 @@ def inverse(a):
 
 
 def conjugate(g, mu):
-    """g.mu = g mu g^{-1}, verified symbolically on all variables."""
+    """g.mu = g mu g^{-1}, verified symbolically on all variables.
+
+    In lattice mode the verification is a certificate per group, proven on
+    the group generators and the unit vectors (``Context.conjugate_key``).
+    """
     return MonoidElement(mu.context, mu.context.conjugate_key(g, mu.vector))
 
 

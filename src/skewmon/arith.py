@@ -9,8 +9,7 @@ A polynomial in ``n`` variables is a dict mapping exponent tuples (length
     x0^2*x1 + 3/2   ->   {(2, 1): 1, (0, 0): 3/2}
 
 The zero polynomial is the empty dict.  Coefficients are exact rationals
-(``gmpy2.mpq`` when available, ``fractions.Fraction`` otherwise); no floating
-point enters anywhere in this module.
+(``fractions.Fraction``); no floating point enters anywhere in this module.
 
 Term order is graded lexicographic (grlex) over the variable order of the
 table: compare total degree first, then the exponent tuples lexicographically.
@@ -36,10 +35,7 @@ from .errors import (
     InvalidDivisorError,
 )
 
-try:  # gmpy2.mpq is a drop-in, much faster exact rational
-    from gmpy2 import mpq as QQ
-except ImportError:  # pragma: no cover
-    QQ = Fraction
+QQ = Fraction
 
 #: Degree of the zero polynomial.  A sentinel for comparisons only; it never
 #: participates in coefficient arithmetic.
@@ -47,8 +43,6 @@ NEG_INF = float("-inf")
 
 
 def _as_coeff(c):
-    if isinstance(c, str):
-        return QQ(Fraction(c))
     return QQ(c)
 
 

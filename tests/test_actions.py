@@ -25,7 +25,8 @@ from skewmon.errors import (
     PreconditionError,
     ResourceCapError,
 )
-from skewmon.constructors import build_qshift_algebra, build_shift_algebra
+from skewmon.constructors import build_qshift_algebra, build_shift_algebra, gt_embedding
+from skewmon.skewring import is_invariant
 
 
 def swap_context():
@@ -254,6 +255,78 @@ class TestGroup:
         assert act(MonoidElement(ctx, (2,)), x1) == x1 - ctx.table.poly("2")
         aut = ShiftAut(ctx.table, (QQ(5), QQ(0)))
         assert act(aut, x1) == x1 + ctx.table.poly("5")
+
+
+def uneven_shift_context():
+    """x1 -> x1 - 1, x2 -> x2 - 2 under the swap: conjugation leaves the lattice."""
+    t = VariableTable(["x1", "x2"])
+    gens = [ShiftAut(t, (QQ(-1), QQ(0))), ShiftAut(t, (QQ(0), QQ(-2)))]
+    group = Group.from_generators(t, [(1, 0)])
+    return Context(t, LATTICE, gens, group=group, coord_vars=range(2))
+
+
+class TestConjugationCertificate:
+    def test_violation_names_the_key_and_spares_zero(self):
+        ctx = uneven_shift_context()
+        swap = list(ctx.group)[1]
+        assert ctx.conjugate_key(swap, (0, 0)) == (0, 0)
+        with pytest.raises(NormalizationViolationError, match=r"conjugation of \(1, 0\)"):
+            ctx.conjugate_key(swap, (1, 0))
+        assert ctx.conjugate_key(swap, (0, 0)) == (0, 0)
+        with pytest.raises(NormalizationViolationError, match=r"conjugation of \(2, -1\)"):
+            conjugate(swap, MonoidElement(ctx, (2, -1)))
+
+    def test_foreign_violation_names_the_key(self):
+        ctx = uneven_shift_context()
+        swap = PermutationAut(ctx.table, (1, 0))
+        with pytest.raises(NormalizationViolationError, match=r"conjugation of \(2, -1\)"):
+            ctx.conjugate_key(swap, (2, -1))
+        assert ctx.conjugate_key(swap, (0, 0)) == (0, 0)
+
+    def test_invariance_verifies_generators_on_unit_vectors_only(self, monkeypatch):
+        alg = gt_embedding(3)
+        ctx = alg.context
+        calls = []
+        verify = Context._verify_conjugation
+
+        def counted(self, g, key, candidate):
+            calls.append(key)
+            return verify(self, g, key, candidate)
+
+        monkeypatch.setattr(Context, "_verify_conjugation", counted)
+        for u in alg.generators.values():
+            is_invariant(u)
+        assert 0 < len(calls) <= len(ctx.group.generator_elements()) * ctx.rank
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: gt_embedding(3).context,
+            lambda: build_shift_algebra(3, 3, group_generators=[(1, 0, 2), (0, 2, 1)]),
+        ],
+        ids=["gt3", "shift-s3"],
+    )
+    def test_certified_keys_pass_the_per_key_check(self, build):
+        ctx = build()
+        keys = [(0, 0, 0), (1, 0, 0), (0, 1, -1), (2, -1, 3)]
+        for g in ctx.group:
+            for key in keys:
+                ctx._verify_conjugation(g, key, ctx.conjugate_key(g, key))
+
+    def test_foreign_permutations(self):
+        ctx = build_shift_algebra(3, 3, group_generators=[(1, 0, 2), (0, 2, 1)])
+        cycle = PermutationAut(ctx.table, (2, 0, 1))
+        assert ctx.conjugate_key(cycle, (1, 2, -1)) == (2, -1, 1)
+        assert ctx.conjugate_key(ctx.group.element_of((2, 0, 1)), (1, 2, -1)) == (2, -1, 1)
+        mu = MonoidElement(ctx, (1, 1, 0))
+        stab = stabilizer(ctx.group, mu)
+        assert len(stab) == 2
+        assert all(conjugate(h, mu) == mu for h in stab)
+        assert conjugate(list(stab)[1], MonoidElement(ctx, (3, 0, 1))).vector == (0, 3, 1)
+        # a foreign permutation moving an acted variable onto a fixed one
+        partial = build_shift_algebra(3, 2)
+        with pytest.raises(NormalizationViolationError, match="outside the lattice"):
+            partial.conjugate_key(PermutationAut(partial.table, (2, 1, 0)), (1, 0))
 
 
 def _rand_rf(rng, ctx):

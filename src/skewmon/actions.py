@@ -11,7 +11,7 @@ substitutions.  Supported groups are finite groups of variable permutations,
 enumerated eagerly at construction up to a hard cap.
 """
 
-from .arith import NEG_INF, QQ, Polynomial, RatFunc, _as_coeff, _monic_den, substitute
+from .arith import NEG_INF, QQ, Polynomial, RatFunc, _monic_den, substitute
 from .errors import (
     ContextMismatchError,
     NormalizationViolationError,
@@ -94,24 +94,19 @@ class Automorphism:
     def apply(self, f):
         raise NotImplementedError
 
-    def image_of_var(self, i):
-        raise NotImplementedError
-
     def inverse(self):
         raise NotImplementedError
 
     def power(self, k):
-        if k == 0:
-            return ShiftAut(self.table, (0,) * self.table.nvars)
         base = self if k > 0 else self.inverse()
-        return _IteratedAut(self.table, base, abs(k))
+        return _ChainAut(self.table, (base,) * abs(k))
 
     def commutes_with(self, other):
         """Symbolic check on every variable."""
-        for i in range(self.table.nvars):
-            a = self.apply(other.image_of_var(i))
-            b = other.apply(self.image_of_var(i))
-            if a != b:
+        nv = self.table.nvars
+        for i in range(nv):
+            x = RatFunc.variable(nv, i)
+            if self.apply(other.apply(x)) != other.apply(self.apply(x)):
                 return False
         return True
 
@@ -124,7 +119,7 @@ class ShiftAut(Automorphism):
     def __init__(self, table, offsets):
         if len(offsets) != table.nvars:
             raise ContextMismatchError("offset vector length mismatch")
-        offsets = tuple(_as_coeff(c) for c in offsets)
+        offsets = tuple(QQ(c) for c in offsets)
         for i, c in enumerate(offsets):
             if c != 0 and not table.is_acted(i):
                 raise PreconditionError("shift offset on a non-acted variable")
@@ -148,14 +143,6 @@ class ShiftAut(Automorphism):
         # coprimality and the grlex leading term of the denominator
         return RatFunc._raw(self.apply_poly(f.num), self.apply_poly(f.den))
 
-    def image_of_var(self, i):
-        nv = self.table.nvars
-        c = self.offsets[i]
-        p = Polynomial.variable(nv, i)
-        if c != 0:
-            p = p + Polynomial.const(nv, c)
-        return RatFunc.from_poly(p)
-
     def inverse(self):
         return ShiftAut(self.table, tuple(-c for c in self.offsets))
 
@@ -175,7 +162,7 @@ class ScalingAut(Automorphism):
         nv = table.nvars
         if len(coeffs) != nv or len(exps) != nv:
             raise ContextMismatchError("multiplier length mismatch")
-        coeffs = tuple(_as_coeff(c) for c in coeffs)
+        coeffs = tuple(QQ(c) for c in coeffs)
         exps = tuple(tuple(e) for e in exps)
         for i in range(nv):
             trivial = coeffs[i] == 1 and not any(exps[i])
@@ -189,11 +176,6 @@ class ScalingAut(Automorphism):
         self.table = table
         self.coeffs = coeffs
         self.exps = exps
-
-    @classmethod
-    def identity(cls, table):
-        nv = table.nvars
-        return cls(table, (QQ(1),) * nv, ((0,) * nv,) * nv)
 
     def apply(self, f):
         if f.num.is_zero():
@@ -241,18 +223,6 @@ class ScalingAut(Automorphism):
             lift = (0,) * nv
         return Polynomial._raw(nv, {e: c for e, c in raw.items() if c != 0}), lift
 
-    def image_of_var(self, i):
-        nv = self.table.nvars
-        e = [0] * nv
-        e[i] = 1
-        num = Polynomial.monomial(
-            nv, tuple(a + b for a, b in zip(e, [max(x, 0) for x in self.exps[i]])), self.coeffs[i]
-        )
-        negs = tuple(max(-x, 0) for x in self.exps[i])
-        if any(negs):
-            return RatFunc(num, Polynomial.monomial(nv, negs))
-        return RatFunc.from_poly(num)
-
     def inverse(self):
         return ScalingAut(
             self.table,
@@ -293,9 +263,6 @@ class PermutationAut(Automorphism):
         # permuting variables can change the grlex leading coefficient
         return RatFunc._raw(*_monic_den(num, f.den.permute_vars(self.images)))
 
-    def image_of_var(self, i):
-        return RatFunc.variable(self.table.nvars, self.images[i])
-
     def inverse(self):
         return PermutationAut(self.table, _perm_inverse(self.images))
 
@@ -335,9 +302,6 @@ class GeneralAut(Automorphism):
     def apply(self, f):
         return substitute(f, self.images)
 
-    def image_of_var(self, i):
-        return self.images.get(i, RatFunc.variable(self.table.nvars, i))
-
     def inverse(self):
         out = object.__new__(GeneralAut)
         out.table = self.table
@@ -349,26 +313,22 @@ class GeneralAut(Automorphism):
         return f"GeneralAut({self.images})"
 
 
-class _IteratedAut(Automorphism):
-    """A positive power of an automorphism, applied by iteration."""
+class _ChainAut(Automorphism):
+    """A composite of automorphisms, applied first to last."""
 
-    __slots__ = ("table", "base", "times")
+    __slots__ = ("table", "factors")
 
-    def __init__(self, table, base, times):
+    def __init__(self, table, factors):
         self.table = table
-        self.base = base
-        self.times = times
+        self.factors = factors
 
     def apply(self, f):
-        for _ in range(self.times):
-            f = self.base.apply(f)
+        for a in self.factors:
+            f = a.apply(f)
         return f
 
-    def image_of_var(self, i):
-        return self.apply(RatFunc.variable(self.table.nvars, i))
-
     def inverse(self):
-        return _IteratedAut(self.table, self.base.inverse(), self.times)
+        return _ChainAut(self.table, tuple(a.inverse() for a in reversed(self.factors)))
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +479,8 @@ class Context:
     """
 
     __slots__ = (
-        "table", "mode", "generators", "nonneg", "group", "coord_vars", "key_group", "_certified"
+        "table", "mode", "generators", "nonneg", "group", "coord_vars", "key_group",
+        "_certified", "_auts",
     )
 
     def __init__(
@@ -540,6 +501,7 @@ class Context:
         self.coord_vars = tuple(coord_vars) if coord_vars is not None else None
         self.key_group = key_group
         self._certified = set()  # permutations whose lattice conjugation is proven
+        self._auts = {}  # lattice key -> its automorphism, built on first use
         if mode == LATTICE:
             for i, a in enumerate(self.generators):
                 for b in self.generators[i + 1 :]:
@@ -586,39 +548,21 @@ class Context:
         return tuple(a) in self.key_group._pos
 
     def act_key(self, key, f):
-        """Apply the automorphism named by a key to a rational function."""
+        """Apply the automorphism named by a key (always a tuple) to f.
+
+        A lattice key v names the product of the generator powers
+        sigma_i^{v_i}; it is built once, from the generators' own ``power``.
+        """
         if self.mode == FINITE_GROUP:
             return self.key_group.element_of(key).apply(f)
         if not any(key):
             return f
-        gens = self.generators
-        if all(isinstance(s, ShiftAut) for s in gens):
-            nv = self.table.nvars
-            total = [QQ(0)] * nv
-            for i, k in enumerate(key):
-                if k:
-                    for j, c in enumerate(gens[i].offsets):
-                        if c != 0:
-                            total[j] += c * k
-            return ShiftAut(self.table, tuple(total)).apply(f)
-        if all(isinstance(s, ScalingAut) for s in gens):
-            nv = self.table.nvars
-            coeffs = [QQ(1)] * nv
-            exps = [[0] * nv for _ in range(nv)]
-            for i, k in enumerate(key):
-                if k:
-                    s = gens[i]
-                    for j in range(nv):
-                        if s.coeffs[j] != 1:
-                            coeffs[j] = coeffs[j] * s.coeffs[j] ** k
-                        for t, e in enumerate(s.exps[j]):
-                            if e:
-                                exps[j][t] += e * k
-            return ScalingAut(self.table, tuple(coeffs), tuple(tuple(e) for e in exps)).apply(f)
-        for i, k in enumerate(key):
-            if k:
-                f = gens[i].power(k).apply(f)
-        return f
+        aut = self._auts.get(key)
+        if aut is None:
+            factors = tuple(self.generators[i].power(k) for i, k in enumerate(key) if k)
+            aut = factors[0] if len(factors) == 1 else _ChainAut(self.table, factors)
+            self._auts[key] = aut
+        return aut.apply(f)
 
     def conjugate_key(self, g, key):
         """g.key = g key g^{-1} for a PermutationAut g, verified symbolically.

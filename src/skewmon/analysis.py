@@ -5,8 +5,8 @@ lattice computations use integer Smith normal form, and span dimensions are
 computed by Gaussian elimination over the parameter fraction field after
 clearing coefficient denominators per monoid key.  The one approximate
 quantity in the package is the fitted log-log growth slope, which is reported
-as a rational approximation together with an interval and is only ever tested
-against intervals.
+as a rational approximation (``slope``) and as a float (``slope_float``), and is
+only ever tested against intervals.
 """
 
 import math
@@ -560,7 +560,6 @@ class GrowthProfile:
     dims: list
     slope: Fraction
     window: tuple
-    halfwidth: Fraction = Fraction(1, 5)
 
     def __post_init__(self):
         for i in range(1, len(self.dims)):
@@ -570,19 +569,6 @@ class GrowthProfile:
             for j in range(1, len(self.dims) + 1 - i):
                 if self.dims[i + j - 1] > self.dims[i - 1] * self.dims[j - 1]:
                     raise PreconditionError("growth dimensions must be submultiplicative")
-
-    @property
-    def interval(self):
-        return (self.slope - self.halfwidth, self.slope + self.halfwidth)
-
-    def to_json(self):
-        lo, hi = self.interval
-        return {
-            "dims": list(self.dims),
-            "slope": str(self.slope),
-            "slope_interval": [str(lo), str(hi)],
-            "window": list(self.window),
-        }
 
 
 def fit_loglog_slope(values, window=None):

@@ -42,10 +42,6 @@ QQ = Fraction
 NEG_INF = float("-inf")
 
 
-def _as_coeff(c):
-    return QQ(c)
-
-
 class Polynomial:
     """Sparse multivariate polynomial with exact rational coefficients."""
 
@@ -59,7 +55,7 @@ class Polynomial:
                 raise ContextMismatchError(
                     f"bad exponent vector {exps} for {nvars} variables"
                 )
-            coeff = _as_coeff(coeff)
+            coeff = QQ(coeff)
             if coeff != 0:
                 clean[tuple(exps)] = coeff
         self.terms = clean
@@ -78,7 +74,7 @@ class Polynomial:
 
     @classmethod
     def const(cls, nvars, c):
-        c = _as_coeff(c)
+        c = QQ(c)
         if c == 0:
             return cls.zero(nvars)
         return cls._raw(nvars, {(0,) * nvars: c})
@@ -207,7 +203,7 @@ class Polynomial:
         return result
 
     def scale(self, c):
-        c = _as_coeff(c)
+        c = QQ(c)
         if c == 0:
             return Polynomial.zero(self.nvars)
         return Polynomial._raw(self.nvars, {e: k * c for e, k in self.terms.items()})
@@ -352,7 +348,7 @@ class Polynomial:
             v = c
             for i, d in enumerate(e):
                 if d:
-                    v = v * _as_coeff(point[i]) ** d
+                    v = v * QQ(point[i]) ** d
             total += v
         return total
 
@@ -636,7 +632,7 @@ class RatFunc:
         return RatFunc._raw(self.num**k, self.den**k)
 
     def scale(self, c):
-        c = _as_coeff(c)
+        c = QQ(c)
         if c == 0:
             return RatFunc.zero(self.nvars)
         return RatFunc._raw(self.num.scale(c), self.den)
@@ -798,7 +794,7 @@ def poly_to_text(p, names):
     parts = []
     for e in sorted(p.terms, key=lambda t: (sum(t), t), reverse=True):
         c = p.terms[e]
-        factors = [_coeff_text(c)]
+        factors = [str(c)]
         for i, d in enumerate(e):
             if d == 1:
                 factors.append(names[i])
@@ -806,11 +802,6 @@ def poly_to_text(p, names):
                 factors.append(f"{names[i]}^{d}")
         parts.append("*".join(factors))
     return " + ".join(parts)
-
-
-def _coeff_text(c):
-    f = Fraction(c.numerator, c.denominator)
-    return str(f)
 
 
 def poly_from_text(text, names):

@@ -274,10 +274,15 @@ JOBS = {
 #: parameter appears in a job
 INT_PARAMS = {"count": 1, "seed": None, "degree": 2, "degree_bound": 0, "k_max": 2}
 
+#: expectation keys compared exactly as values and as lists; "slope_interval"
+#: is the one interval comparison
+SCALAR_EXPECTATIONS = ("rank", "dimension", "zero", "value")
+LIST_EXPECTATIONS = ("divisors", "dims", "sizes", "basis")
+
 
 def _validate_job(index, job):
-    """Check one job against JOBS and INT_PARAMS; raise ScenarioError naming
-    the job and the parameter."""
+    """Check one job against JOBS, INT_PARAMS and the expectation keys; raise
+    ScenarioError naming the job and the parameter."""
     if not isinstance(job, dict):
         raise ScenarioError(f"job {index} must be a JSON object")
     op = job.get("op")
@@ -294,14 +299,20 @@ def _validate_job(index, job):
         if type(value) is not int or (low is not None and value < low):
             wanted = "an integer" if low is None else f"an integer >= {low}"
             raise ScenarioError(f"{where} ({op}): {param} must be {wanted}, got {value!r}")
+    expect = job.get("expect", "pass")
+    if expect == "pass":
+        return
+    if not isinstance(expect, dict):
+        raise ScenarioError(f"{where} ({op}): bad expectation {expect!r}")
+    for key in sorted(expect):
+        if key not in ("slope_interval",) + SCALAR_EXPECTATIONS + LIST_EXPECTATIONS:
+            raise ScenarioError(f"{where} ({op}): unknown expectation key {key!r}")
 
 
 def _apply_expectation(report, values, expect):
     """Fold the job's expectation into its report as extra checks."""
-    if expect is None or expect == "pass":
+    if expect == "pass":
         return
-    if not isinstance(expect, dict):
-        raise ScenarioError(f"bad expectation {expect!r}")
     for key, wanted in sorted(expect.items()):
         if key == "slope_interval":
             lo, hi = (Fraction(str(x)) for x in wanted)
@@ -311,18 +322,16 @@ def _apply_expectation(report, values, expect):
                 f"expect slope in [{lo}, {hi}]", "pass" if ok else "fail",
                 residual=None if ok else f"slope {got} = {float(got):.4f}",
             )
-        elif key in ("rank", "dimension", "zero", "value"):
+        elif key in SCALAR_EXPECTATIONS:
             got = values.get(key)
             ok = got == wanted
             report.add(f"expect {key} = {wanted!r}", "pass" if ok else "fail",
                        residual=None if ok else f"got {got!r}")
-        elif key in ("divisors", "dims", "sizes", "basis"):
+        else:
             got = values.get(key)
             ok = list(got) == list(wanted)
             report.add(f"expect {key} = {wanted!r}", "pass" if ok else "fail",
                        residual=None if ok else f"got {got!r}")
-        else:
-            raise ScenarioError(f"unknown expectation key {key!r}")
 
 
 def run_scenario(scenario, cap_dim=4096, cap_group=None):

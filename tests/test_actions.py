@@ -10,6 +10,7 @@ from skewmon.actions import (
     LATTICE,
     MonoidElement,
     PermutationAut,
+    ScalingAut,
     ShiftAut,
     VariableTable,
     act,
@@ -25,7 +26,12 @@ from skewmon.errors import (
     PreconditionError,
     ResourceCapError,
 )
-from skewmon.constructors import build_qshift_algebra, build_shift_algebra, gt_embedding
+from skewmon.constructors import (
+    GWASpec,
+    build_qshift_algebra,
+    build_shift_algebra,
+    gt_embedding,
+)
 from skewmon.skewring import is_invariant
 
 
@@ -327,6 +333,77 @@ class TestConjugationCertificate:
         partial = build_shift_algebra(3, 2)
         with pytest.raises(NormalizationViolationError, match="outside the lattice"):
             partial.conjugate_key(PermutationAut(partial.table, (2, 1, 0)), (1, 0))
+
+
+def mixed_context():
+    """A shift of u and a scaling of v: a commuting pair of different kinds."""
+    t = VariableTable(["u", "v"])
+    gens = [ShiftAut(t, [QQ(-1), QQ(0)]), ScalingAut(t, (QQ(1), QQ(3)), ((0, 0), (0, 0)))]
+    return Context(t, LATTICE, gens)
+
+
+def general_context():
+    """h -> 2h + 1 next to a shift of k."""
+    t = VariableTable(["h", "k"])
+    h, one = t.var("h"), t.poly("1")
+    gens = [
+        GeneralAut(t, {0: h.scale(2) + one}, {0: (h - one).scale(QQ(1, 2))}),
+        ShiftAut(t, [QQ(0), QQ(-1)]),
+    ]
+    return Context(t, LATTICE, gens)
+
+
+def _act_by_iteration(ctx, key, f):
+    for s, k in zip(ctx.generators, key):
+        step = s if k > 0 else s.inverse()
+        for _ in range(abs(k)):
+            f = step.apply(f)
+    return f
+
+
+class TestLatticeAction:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_shift_algebra(2, 2),
+            lambda: build_qshift_algebra(2, 2),
+            mixed_context,
+            general_context,
+        ],
+        ids=["shift", "qshift", "mixed", "general"],
+    )
+    def test_act_key_equals_iterated_generators(self, build):
+        ctx = build()
+        rng = random.Random(41)
+        for _ in range(12):
+            key = tuple(rng.randint(-2, 2) for _ in range(ctx.rank))
+            f = _rand_rf(rng, ctx)
+            assert ctx.act_key(key, f) == _act_by_iteration(ctx, key, f)
+
+    def test_each_key_is_built_once(self, monkeypatch):
+        ctx = build_shift_algebra(2, 2)
+        built = []
+        init = ShiftAut.__init__
+
+        def counted(self, table, offsets):
+            built.append(offsets)
+            init(self, table, offsets)
+
+        monkeypatch.setattr(ShiftAut, "__init__", counted)
+        x1 = ctx.table.var("x1")
+        for i in range(50):
+            ctx.act_key((1, -2) if i % 2 else (2, 1), x1)
+        assert len(built) <= 2 * ctx.rank
+
+    def test_noncommuting_generators_rejected(self):
+        t = VariableTable(["x"])
+        x = t.var("x")
+        gens = (ShiftAut(t, [QQ(-1)]), ScalingAut(t, (QQ(2),), ((0,),)))
+        with pytest.raises(PreconditionError, match="must commute"):
+            Context(t, LATTICE, gens)
+        with pytest.raises(PreconditionError, match="must commute"):
+            GWASpec(t, gens, (x, x))
+        assert mixed_context().rank == 2
 
 
 def _rand_rf(rng, ctx):

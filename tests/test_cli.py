@@ -3,7 +3,9 @@ import os
 
 import pytest
 
+from skewmon import cli
 from skewmon.cli import (
+    ScenarioError,
     builtin_suites,
     load_scenario_text,
     main,
@@ -204,6 +206,26 @@ class TestJobValidation:
                              algebra={"kind": "mystery"})
         assert "job 2 'second'" in err and "k_max" in err
         assert "mystery" not in err
+
+    @pytest.mark.parametrize(
+        "expect, message",
+        [({"bogus": 1}, "unknown expectation key 'bogus'"), ("fail", "bad expectation 'fail'")],
+    )
+    def test_bad_expectation_fails_before_any_job_runs(self, monkeypatch, expect, message):
+        calls = []
+        handler, params = cli.JOBS["monoid_growth"]
+
+        def recorded(rt, job):
+            calls.append(job["name"])
+            return handler(rt, job)
+
+        monkeypatch.setitem(cli.JOBS, "monoid_growth", (recorded, params))
+        second = dict(self.BALLS, name="second", expect=expect)
+        scenario = {"algebra": {"kind": "shift_algebra", "n": 2, "m": 2},
+                    "jobs": [self.BALLS, second]}
+        with pytest.raises(ScenarioError, match=f"job 2 'second' \\(monoid_growth\\): {message}"):
+            run_scenario(scenario)
+        assert calls == []
 
 
 class TestOutput:

@@ -3,10 +3,14 @@
 Everything here is exact: relation residuals are normalized skew elements,
 lattice computations use integer Smith normal form, and span dimensions are
 computed by Gaussian elimination over the parameter fraction field after
-clearing coefficient denominators per monoid key.  The one approximate
-quantity in the package is the fitted log-log growth slope, which is reported
-as a rational approximation (``slope``) and as a float (``slope_float``), and is
-only ever tested against intervals.
+clearing coefficient denominators per monoid key.  A growth profile keeps one
+reducer for the whole run and multiplies only the basis elements that entered
+at the last layer by the frame; the per-key denominators only grow, and when
+one grows the stored basis is re-coordinatized into a fresh reducer.
+
+The one approximate quantity in the package is the fitted log-log growth
+slope, which is reported as a rational approximation (``slope``) and as a
+float (``slope_float``), and is only ever tested against intervals.
 """
 
 import math
@@ -337,19 +341,29 @@ class _SpanReducer:
         return len(self.pivot_rows)
 
 
-def _element_vectors(coeff_maps, table):
+def _element_vectors(coeff_maps, table, common=None):
     """Coordinate vectors of key -> RatFunc maps against per-key common denominators.
 
     Coordinates are (key, non-parameter exponent tuple); entries live in the
     parameter fraction field.  The per-key denominator is the lcm over all
-    the given maps, so the map to coordinates is linear on this set.
+    the given maps and over ``common``, the per-key denominators of earlier
+    calls, which is updated in place; so the map to coordinates is linear on
+    every set coordinatized against the same ``common``.  Returns the vectors
+    and whether a key already in ``common`` got a larger denominator, which
+    makes vectors from earlier calls stale.
     """
     one = Polynomial.const(table.nvars, 1)
-    common = {}
+    common = {} if common is None else common
+    held = set(common)
+    grown = False
     for coeffs in coeff_maps:
         for key, c in coeffs.items():
             cur = common.get(key, one)
-            common[key] = poly_lcm(cur, c.den) if not c.den.is_constant() else cur
+            if not c.den.is_constant():
+                lcm = poly_lcm(cur, c.den)
+                grown = grown or (key in held and lcm != cur)
+                cur = lcm
+            common[key] = cur
     vectors = []
     for coeffs in coeff_maps:
         vec = {}
@@ -358,7 +372,7 @@ def _element_vectors(coeff_maps, table):
             for head, tail_poly in _split_by_nonparam(cleared, table).items():
                 vec[(key, head)] = RatFunc.from_poly(tail_poly)
         vectors.append(vec)
-    return vectors
+    return vectors, grown
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +425,7 @@ def center_candidates(spec, degree_bound):
         x_e = RatFunc.from_poly(Polynomial.monomial(table.nvars, e))
         columns.append({ai: fix(x_e) - x_e for ai, fix in enumerate(fixers)})
     rows = {}  # (fixer index, constraint coordinate) -> {column: RatFunc entry}
-    for col, vec in enumerate(_element_vectors(columns, table)):
+    for col, vec in enumerate(_element_vectors(columns, table)[0]):
         for coord, entry in vec.items():
             rows.setdefault(coord, {})[col] = entry
 
@@ -600,6 +614,14 @@ def growth_profile(frame, k_max, dim_cap=DEFAULT_DIM_CAP):
     included automatically.  Dimension is over the coefficient field of the
     parameters; the computation clears denominators per key and row-reduces
     exactly.
+
+    The layers are semi-naive: one reducer holds the basis of span(F^k) for
+    the whole run, and since 1 is in F, span(F^(k+1)) = span(F^k) +
+    span(new * F), where new are the basis elements that entered at layer k.
+    So only those are multiplied by the frame.  When a later product raises
+    the common denominator of a key, the stored basis elements are
+    re-coordinatized against the new denominators into a fresh reducer
+    before the product's layer is added.
     """
     if k_max < 2:
         raise PreconditionError("k_max must be at least 2")
@@ -609,28 +631,29 @@ def growth_profile(frame, k_max, dim_cap=DEFAULT_DIM_CAP):
     if not any(u == SkewElement.one(ctx) for u in frame):
         raise PreconditionError("frame must contain the identity element")
     table = ctx.table
+    common = {}  # key -> common denominator of every element coordinatized so far
+    reducer = _SpanReducer()
+    basis = []
 
-    def reduce_layer(elements):
-        reducer = _SpanReducer()
-        basis = []
-        for u, vec in zip(elements, _element_vectors([x.coeffs for x in elements], table)):
-            if reducer.add(vec):
-                basis.append(u)
-        return basis
+    def add_layer(elements):
+        nonlocal reducer
+        vectors, grown = _element_vectors([x.coeffs for x in elements], table, common)
+        if grown:
+            reducer = _SpanReducer()
+            for vec in _element_vectors([x.coeffs for x in basis], table, common)[0]:
+                reducer.add(vec)
+        new = [u for u, vec in zip(elements, vectors) if reducer.add(vec)]
+        basis.extend(new)
+        return new
 
     def profile(dims):
         window = (max(1, len(dims) // 2), len(dims))
         return GrowthProfile(dims, fit_loglog_slope(dims, window), window)
 
-    dims = []
-    basis = reduce_layer(list(frame))
-    dims.append(len(basis))
+    new = add_layer(list(frame))
+    dims = [len(basis)]
     for _ in range(2, k_max + 1):
-        candidates = list(basis)
-        for b in basis:
-            for v in frame:
-                candidates.append(b * v)
-        basis = reduce_layer(candidates)
+        new = add_layer([b * v for b in new for v in frame])
         dims.append(len(basis))
         if len(basis) > dim_cap:
             raise ResourceCapError(

@@ -178,11 +178,13 @@ def _job_center_candidates(rt, job):
 
 
 def _job_orbit_identities(rt, job):
-    return orbit_identity_trials(rt.algebra.context, job["count"], job["seed"]), {}
+    report = orbit_identity_trials(rt.algebra.context, job["count"], job["seed"])
+    return report, {"seed": job["seed"]}
 
 
 def _job_ore_witness_random(rt, job):
-    return ore_witness_trials(rt.algebra.context, job["count"], job["seed"]), {}
+    report = ore_witness_trials(rt.algebra.context, job["count"], job["seed"])
+    return report, {"seed": job["seed"]}
 
 
 def _job_standard_identity(rt, job):
@@ -196,7 +198,7 @@ def _job_standard_identity(rt, job):
 def _job_standard_identity_repeated(rt, job):
     return repeated_argument_trials(
         rt.algebra.context, job["count"], job["seed"], degree=job.get("degree", 3)
-    ), {}
+    ), {"seed": job["seed"]}
 
 
 def _job_theta_relations(rt, job):

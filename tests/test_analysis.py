@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from skewmon import analysis
 from skewmon.arith import RatFunc, poly_to_text
 from skewmon.actions import LATTICE, Context, MonoidElement, ScalingAut, VariableTable
 from skewmon.errors import (
@@ -446,6 +448,16 @@ class TestStandardIdentity:
             standard_identity(7, ones)
 
 
+def counting(calls, fn):
+    """fn, appending to calls on every call."""
+
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+
+    return wrapper
+
+
 class TestGrowth:
     def test_weyl_like_dims(self):
         ctx = build_shift_algebra(1, 1)
@@ -500,6 +512,64 @@ class TestGrowth:
         frame = [SkewElement.one(ctx), inv_x]
         profile = growth_profile(frame, 6)
         assert profile.dims == [2, 3, 4, 5, 6, 7]
+
+    @staticmethod
+    def gt_frame(n):
+        spec = gt_embedding(n)
+        g = spec.generators
+        frame = [SkewElement.one(spec.context)]
+        frame += [g[name] for name in sorted(g) if name.startswith("E")]
+        if n == 3:
+            frame += [commutator(g["E12"], g["E23"]), commutator(g["E32"], g["E21"])]
+        return frame
+
+    def test_gl2_pbw_dims(self):
+        # U(gl_2) is faithfully realized, so d(k) is the PBW filtration piece
+        profile = growth_profile(self.gt_frame(2), 5)
+        assert profile.dims == [math.comb(k + 4, 4) for k in range(1, 6)]
+
+    def test_gl3_pbw_dims_rebuild_the_reducer(self, monkeypatch):
+        # the denominators x_2i - x_2j of E13 and E31 grow at k = 2, so the
+        # stored basis is re-coordinatized into a fresh reducer
+        built = []
+        monkeypatch.setattr(
+            analysis._SpanReducer, "__init__", counting(built, analysis._SpanReducer.__init__)
+        )
+        profile = growth_profile(self.gt_frame(3), 2)
+        assert profile.dims == [10, 55]
+        assert len(built) == 2
+
+    def test_only_new_basis_elements_are_multiplied(self, monkeypatch):
+        ctx = build_shift_algebra(1, 1)
+        frame = [
+            SkewElement.one(ctx),
+            SkewElement.scalar(ctx, ctx.table.var("x1")),
+            SkewElement.generator(ctx, (1,)),
+        ]
+        products = []
+        monkeypatch.setattr(SkewElement, "__mul__", counting(products, SkewElement.__mul__))
+        profile = growth_profile(frame, 12)
+        assert profile.dims == [(k + 1) * (k + 2) // 2 for k in range(1, 13)]
+        assert len(products) <= len(frame) * profile.dims[10]  # 234
+
+    def test_rebuilds_match_fresh_reductions(self):
+        # every product by 1/x1 or e1 raises a denominator of key (0,) or
+        # (1,), so each layer re-coordinatizes the stored basis
+        ctx = build_shift_algebra(1, 1)
+        frame = [
+            SkewElement.one(ctx),
+            SkewElement.scalar(ctx, ctx.table.var("x1").invert()),
+            SkewElement.generator(ctx, (1,)),
+        ]
+        k_max = 5
+        words, expected = [SkewElement.one(ctx)], []
+        for _ in range(k_max):
+            words = [w * v for w in words for v in frame]
+            reducer = analysis._SpanReducer()
+            for vec in analysis._element_vectors([w.coeffs for w in words], ctx.table)[0]:
+                reducer.add(vec)
+            expected.append(reducer.dimension)
+        assert growth_profile(frame, k_max).dims == expected == [3, 7, 14, 25, 41]
 
 
 class TestMonoidGrowth:

@@ -247,6 +247,20 @@ class TestOutput:
         relations = [job for job in gt["jobs"] if job["op"] == "verify_relations"]
         assert relations and all("timing_ms" in c for c in relations[0]["checks"])
 
+    @pytest.mark.parametrize("op, algebra", [
+        ("ore_witness_random", {"kind": "shift_algebra", "n": 2, "m": 2}),
+        ("orbit_identities", {"kind": "shift_algebra", "n": 2, "m": 2, "group": [[2, 1]]}),
+        ("standard_identity_repeated", {"kind": "shift_algebra", "n": 1, "m": 1}),
+    ])
+    def test_seeded_reports_record_the_seed(self, op, algebra):
+        def report(seed):
+            job = {"name": "battery", "op": op, "count": 2, "seed": seed}
+            return run_scenario({"algebra": algebra, "jobs": [job]})
+
+        first, second = report(1), report(2)
+        assert first["jobs"][0]["values"] == {"seed": 1}
+        assert dump_json(strip_timings(first)) != dump_json(strip_timings(second))
+
     def test_hecke_conditions_are_timed(self):
         with open(os.path.join(DATA, "broken-hecke.json")) as fh:
             report = run_scenario(json.load(fh))

@@ -15,8 +15,15 @@ sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith  # noqa: E402
 
 from skewmon.analysis import smith_normal_form  # noqa: E402
-from skewmon.arith import Polynomial, RatFunc, poly_gcd, substitute  # noqa: E402
-from skewmon.errors import DegenerateSubstitutionError  # noqa: E402
+from skewmon.arith import (  # noqa: E402
+    Polynomial,
+    RatFunc,
+    pole_order,
+    poly_gcd,
+    residue_along,
+    substitute,
+)
+from skewmon.errors import DegenerateSubstitutionError, HigherOrderPoleError  # noqa: E402
 
 NV = 3
 SYMS = sympy.symbols(f"x0:{NV}")
@@ -114,4 +121,56 @@ def test_smith_normal_form():
         want = sorted(abs(int(diag[i, i])) for i in range(min(m, n)) if diag[i, i])
         if smith_normal_form(rows) != (len(want), want):
             mismatches.append(rows)
+    assert not mismatches, f"{len(mismatches)} of {CASES} disagree, e.g. {mismatches[:3]}"
+
+
+def _off_hyperplane(rng, make, pivot, image):
+    """A draw of make(rng) that does not vanish on the hyperplane pivot = image."""
+    while True:
+        p = make(rng)
+        if sympy.expand(to_sympy(p).subs(SYMS[pivot], image)) != 0:
+            return p
+
+
+def test_pole_order_and_residue():
+    rng = random.Random(59)
+    mismatches = []
+    planted = {0: 0, 1: 0, 2: 0}
+    for _ in range(CASES):
+        # a hyperplane h = c; the pivot is its first variable, as in skewmon
+        support = sorted(rng.sample(range(NV), rng.randint(1, NV)))
+        h = Polynomial(NV, {
+            **{tuple(int(j == i) for j in range(NV)): rng.choice([-3, -2, -1, 1, 2, 3])
+               for i in support},
+            (0,) * NV: rng.randint(-3, 3),
+        })
+        c = rng.randint(-3, 3)
+        pivot = support[0]
+        image = sympy.solve(to_sympy(h) - c, SYMS[pivot])[0]
+        # r = num / (den * (h - c)^m) with num and den regular on the hyperplane
+        m = rng.choice([0, 1, 2])
+        planted[m] += 1
+        num = _off_hyperplane(rng, rand_poly, pivot, image)
+        den = _off_hyperplane(rng, lambda rng: rand_poly(rng, max_deg=1, nterms=2), pivot, image)
+        linear = h - Polynomial.const(NV, c)
+        r = RatFunc(num, den * linear**m)
+
+        r_sym, hc = to_sympy(r), to_sympy(linear)
+        want_order, rest = 0, sympy.denom(sympy.cancel(r_sym))
+        while sympy.rem(rest, hc, *SYMS) == 0:
+            want_order, rest = want_order + 1, sympy.quo(rest, hc, *SYMS)
+        if pole_order(r, h, c) != want_order or want_order != m:
+            mismatches.append(("order", r_sym, hc, m))
+            continue
+        if m == 2:
+            try:
+                residue_along(r, h, c)
+            except HigherOrderPoleError:
+                continue
+            mismatches.append(("no HigherOrderPoleError", r_sym, hc))
+            continue
+        want = sympy.cancel(hc * r_sym).subs(SYMS[pivot], image)
+        if sympy.cancel(to_sympy(residue_along(r, h, c)) - want) != 0:
+            mismatches.append(("residue", r_sym, hc))
+    assert min(planted.values()) > 0
     assert not mismatches, f"{len(mismatches)} of {CASES} disagree, e.g. {mismatches[:3]}"

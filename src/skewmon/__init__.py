@@ -76,6 +76,7 @@ from .analysis import (
     smith_normal_form,
     standard_identity,
     support_lattice_rank,
+    theta_relation_set,
     verify_relations,
 )
 from .reports import CheckResult, Report, dump_json

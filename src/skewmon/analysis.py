@@ -40,14 +40,17 @@ DEFAULT_DIM_CAP = 4096
 # Relation expressions
 # ---------------------------------------------------------------------------
 #
-# A relation is a name plus an expression tree in JSON-able form:
-#   {"gen": "E12"}            a named generator
+# Every element a scenario names -- a relation, a growth frame entry, a
+# standard-identity argument, a Hecke-check element -- is an expression tree
+# in JSON-able form:
+#   "E12" or {"gen": "E12"}   a named generator
+#   {"terms": [...]}          a literal skew element (SkewElement.to_json form)
 #   {"const": "3/2"}          a scalar at the identity key
 #   {"scale": [c, expr]}      scalar multiple
 #   {"sum": [e1, e2, ...]}    sum
 #   {"prod": [e1, e2, ...]}   noncommutative product, left to right
 #   {"comm": [e1, e2]}        commutator
-# An expression passes when it evaluates to the zero element.
+# A relation passes when its expression evaluates to the zero element.
 
 
 def gen(name):
@@ -75,12 +78,16 @@ def sum_of(*args):
 
 
 def evaluate_expression(spec, expr):
+    """The skew element that ``expr`` (see above) denotes over ``spec``; a
+    generator name missing from ``spec.generators`` raises DefinitionError."""
     ctx = spec.context
-    if "gen" in expr:
-        name = expr["gen"]
+    if isinstance(expr, str) or "gen" in expr:
+        name = expr if isinstance(expr, str) else expr["gen"]
         if name not in spec.generators:
             raise DefinitionError(f"unknown generator {name!r}")
         return spec.generators[name]
+    if "terms" in expr:
+        return SkewElement.from_json(ctx, expr)
     if "const" in expr:
         return SkewElement.scalar(ctx, RatFunc.const(ctx.table.nvars, expr["const"]))
     if "scale" in expr:
@@ -117,55 +124,52 @@ def verify_relations(spec, relations):
 
 def gl_relation_set(n):
     """The full gl_n generator relation table plus the Serre relations."""
+    E = lambda i, j: gen(f"E{i}{j}")  # noqa: E731
     rels = []
     for k in range(1, n + 1):
         for l in range(k + 1, n + 1):
-            rels.append(
-                {"name": f"[E{k}{k},E{l}{l}] = 0", "expr": comm(gen(f"E{k}{k}"), gen(f"E{l}{l}"))}
-            )
+            rels.append((f"[E{k}{k},E{l}{l}] = 0", comm(E(k, k), E(l, l))))
     for k in range(1, n + 1):
         for l in range(1, n):
-            c = (1 if k == l else 0) - (1 if k == l + 1 else 0)
-            e_l = gen(f"E{l}{l + 1}")
-            f_l = gen(f"E{l + 1}{l}")
-            rels.append(
-                {
-                    "name": f"[E{k}{k},E{l}{l + 1}] = {c}*E{l}{l + 1}",
-                    "expr": sum_of(comm(gen(f"E{k}{k}"), e_l), scaled(-c, e_l)),
-                }
-            )
-            rels.append(
-                {
-                    "name": f"[E{k}{k},E{l + 1}{l}] = {-c}*E{l + 1}{l}",
-                    "expr": sum_of(comm(gen(f"E{k}{k}"), f_l), scaled(c, f_l)),
-                }
-            )
+            c = (k == l) - (k == l + 1)
+            e_l, f_l = E(l, l + 1), E(l + 1, l)
+            rels.append((f"[E{k}{k},E{l}{l + 1}] = {c}*E{l}{l + 1}",
+                         sum_of(comm(E(k, k), e_l), scaled(-c, e_l))))
+            rels.append((f"[E{k}{k},E{l + 1}{l}] = {-c}*E{l + 1}{l}",
+                         sum_of(comm(E(k, k), f_l), scaled(c, f_l))))
     for k in range(1, n):
         for l in range(1, n):
-            expr = comm(gen(f"E{k}{k + 1}"), gen(f"E{l + 1}{l}"))
+            expr = comm(E(k, k + 1), E(l + 1, l))
             if k == l:
-                expr = sum_of(expr, scaled(-1, gen(f"E{k}{k}")), scaled(1, gen(f"E{k + 1}{k + 1}")))
-                name = f"[E{k}{k + 1},E{l + 1}{l}] = E{k}{k} - E{k + 1}{k + 1}"
+                rels.append((f"[E{k}{k + 1},E{l + 1}{l}] = E{k}{k} - E{k + 1}{k + 1}",
+                             sum_of(expr, scaled(-1, E(k, k)), scaled(1, E(k + 1, k + 1)))))
             else:
-                name = f"[E{k}{k + 1},E{l + 1}{l}] = 0"
-            rels.append({"name": name, "expr": expr})
+                rels.append((f"[E{k}{k + 1},E{l + 1}{l}] = 0", expr))
     for k in range(1, n):
         for l in range(1, n):
-            if k == l:
-                continue
-            ek, el = gen(f"E{k}{k + 1}"), gen(f"E{l}{l + 1}")
-            fk, fl = gen(f"E{k + 1}{k}"), gen(f"E{l + 1}{l}")
+            ek, el, fk, fl = E(k, k + 1), E(l, l + 1), E(k + 1, k), E(l + 1, l)
             if abs(k - l) == 1:
-                rels.append(
-                    {"name": f"Serre [e{k},[e{k},e{l}]] = 0", "expr": comm(ek, comm(ek, el))}
-                )
-                rels.append(
-                    {"name": f"Serre [f{k},[f{k},f{l}]] = 0", "expr": comm(fk, comm(fk, fl))}
-                )
+                rels.append((f"Serre [e{k},[e{k},e{l}]] = 0", comm(ek, comm(ek, el))))
+                rels.append((f"Serre [f{k},[f{k},f{l}]] = 0", comm(fk, comm(fk, fl))))
             elif k < l:
-                rels.append({"name": f"[e{k},e{l}] = 0", "expr": comm(ek, el)})
-                rels.append({"name": f"[f{k},f{l}] = 0", "expr": comm(fk, fl)})
-    return rels
+                rels.append((f"[e{k},e{l}] = 0", comm(ek, el)))
+                rels.append((f"[f{k},f{l}] = 0", comm(fk, fl)))
+    return [{"name": name, "expr": expr} for name, expr in rels]
+
+
+def theta_relation_set(n):
+    """The nilHecke relations of theta_1..theta_{n-1} over S_n: square zero,
+    braid, and far commutation."""
+    t = lambda i: gen(f"theta{i}")  # noqa: E731
+    rels = [(f"theta{i}^2 = 0", prod(t(i), t(i))) for i in range(1, n)]
+    for i in range(1, n - 1):
+        a, b = t(i), t(i + 1)
+        rels.append((f"braid theta{i} theta{i + 1}",
+                     sum_of(prod(a, b, a), scaled(-1, prod(b, a, b)))))
+    for i in range(1, n):
+        for j in range(i + 2, n):
+            rels.append((f"[theta{i}, theta{j}] = 0", comm(t(i), t(j))))
+    return [{"name": name, "expr": expr} for name, expr in rels]
 
 
 # ---------------------------------------------------------------------------
@@ -622,6 +626,10 @@ def growth_profile(frame, k_max, dim_cap=DEFAULT_DIM_CAP):
     the common denominator of a key, the stored basis elements are
     re-coordinatized against the new denominators into a fresh reducer
     before the product's layer is added.
+
+    A span dimension above ``dim_cap`` raises ResourceCapError before the next
+    layer's products; ``partial`` is the profile so far, or None when d(1) is
+    already over the cap (a one-point profile has no slope).
     """
     if k_max < 2:
         raise PreconditionError("k_max must be at least 2")
@@ -652,14 +660,15 @@ def growth_profile(frame, k_max, dim_cap=DEFAULT_DIM_CAP):
 
     new = add_layer(list(frame))
     dims = [len(basis)]
-    for _ in range(2, k_max + 1):
+    while dims[-1] <= dim_cap:
+        if len(dims) == k_max:
+            return profile(dims)
         new = add_layer([b * v for b in new for v in frame])
         dims.append(len(basis))
-        if len(basis) > dim_cap:
-            raise ResourceCapError(
-                f"span dimension {len(basis)} exceeded the cap {dim_cap}", partial=profile(dims)
-            )
-    return profile(dims)
+    raise ResourceCapError(
+        f"span dimension {dims[-1]} exceeded the cap {dim_cap}",
+        partial=profile(dims) if len(dims) > 1 else None,
+    )
 
 
 def monoid_growth(generators, k_max):

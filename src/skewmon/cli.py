@@ -15,10 +15,10 @@ from importlib import resources
 
 from . import __version__
 from .arith import QQ, ratfunc_from_json, ratfunc_to_text
-from .actions import MonoidElement, ScalingAut, ShiftAut, VariableTable
+from .actions import DEFAULT_GROUP_CAP, MonoidElement, ScalingAut, ShiftAut, VariableTable
 from .errors import ResourceCapError, SkewmonError
 from .reports import Report, dump_json
-from .skewring import SkewElement, commutator, is_invariant
+from .skewring import is_invariant
 from .constructors import (
     AlgebraSpec,
     GWASpec,
@@ -32,13 +32,16 @@ from .constructors import (
     witten_woronowicz_spec,
 )
 from .analysis import (
+    DEFAULT_DIM_CAP,
     center_candidates,
+    evaluate_expression,
     fit_loglog_slope,
     gl_relation_set,
     growth_profile,
     monoid_growth,
     standard_identity,
     support_lattice_rank,
+    theta_relation_set,
     verify_relations,
 )
 from .randomized import (
@@ -59,10 +62,10 @@ class _Runtime:
         self.cap_dim = cap_dim
         self.cap_group = cap_group
         self.gwa_spec = None
-        self.thetas = None
         block = scenario.get("algebra")
         if not isinstance(block, dict) or "kind" not in block:
             raise ScenarioError("scenario needs an algebra block with a kind")
+        self.kind = block["kind"]
         self.algebra = self._build(block)
 
     def _build(self, block):
@@ -79,12 +82,11 @@ class _Runtime:
             self.gwa_spec = self._gwa_spec(block)
             return gwa_embed(self.gwa_spec)
         if kind == "gt":
-            return gt_embedding(int(block["n"]))
+            return gt_embedding(int(block["n"]), group_cap=self.cap_group)
         if kind == "nilhecke":
-            self.thetas = demazure_elements(int(block["n"]))
-            ctx = self.thetas[0].context
-            gens = {f"theta{i + 1}": th for i, th in enumerate(self.thetas)}
-            return AlgebraSpec(ctx, gens, [])
+            thetas = demazure_elements(int(block["n"]), group_cap=self.cap_group)
+            gens = {f"theta{i + 1}": th for i, th in enumerate(thetas)}
+            return AlgebraSpec(thetas[0].context, gens, [])
         raise ScenarioError(f"unknown algebra kind {kind!r}")
 
     def _gwa_spec(self, block):
@@ -117,14 +119,6 @@ class _Runtime:
                 exps.append((0,) * nv)
             return ScalingAut(table, coeffs, exps)
         raise ScenarioError(f"unknown automorphism kind {block['kind']!r}")
-
-    def element(self, obj):
-        ctx = self.algebra.context
-        if isinstance(obj, str):
-            if obj in self.algebra.generators:
-                return self.algebra.generators[obj]
-            raise ScenarioError(f"unknown element name {obj!r}")
-        return SkewElement.from_json(ctx, obj)
 
 
 def _one_line(perm):
@@ -188,7 +182,7 @@ def _job_ore_witness_random(rt, job):
 
 
 def _job_standard_identity(rt, job):
-    elements = [rt.element(e) for e in job["elements"]]
+    elements = [evaluate_expression(rt.algebra, e) for e in job["elements"]]
     value = standard_identity(len(elements), elements)
     report = Report("standard identity")
     report.add(f"evaluated s_{len(elements)}", "pass")
@@ -202,28 +196,14 @@ def _job_standard_identity_repeated(rt, job):
 
 
 def _job_theta_relations(rt, job):
-    if rt.thetas is None:
+    if rt.kind != "nilhecke":
         raise ScenarioError("theta_relations needs a nilhecke algebra block")
-    thetas = rt.thetas
-    report = Report("divided-difference relations")
-    for i, th in enumerate(thetas, start=1):
-        report.check_zero(f"theta{i}^2 = 0", lambda th=th: th * th)
-    for i in range(len(thetas) - 1):
-        report.check_zero(
-            f"braid theta{i + 1} theta{i + 2}",
-            lambda a=thetas[i], b=thetas[i + 1]: a * b * a - b * a * b,
-        )
-    for i in range(len(thetas)):
-        for j in range(i + 2, len(thetas)):
-            report.check_zero(
-                f"[theta{i + 1}, theta{j + 1}] = 0",
-                lambda a=thetas[i], b=thetas[j]: commutator(a, b),
-            )
-    return report, {}
+    n = rt.algebra.context.table.nvars
+    return verify_relations(rt.algebra, theta_relation_set(n)), {}
 
 
 def _job_hecke_check(rt, job):
-    element = rt.element(job["element"])
+    element = evaluate_expression(rt.algebra, job["element"])
     vanish = job.get("vanishing_value")
     report = hecke_membership_check(
         element,
@@ -234,7 +214,7 @@ def _job_hecke_check(rt, job):
 
 
 def _job_growth_profile(rt, job):
-    frame = [rt.element(e) for e in job["frame"]]
+    frame = [evaluate_expression(rt.algebra, e) for e in job["frame"]]
     profile = growth_profile(frame, job["k_max"], dim_cap=rt.cap_dim)
     report = Report("frame growth profile")
     report.add("profile computed", "pass")
@@ -276,10 +256,9 @@ JOBS = {
 #: parameter appears in a job
 INT_PARAMS = {"count": 1, "seed": None, "degree": 2, "degree_bound": 0, "k_max": 2}
 
-#: expectation keys compared exactly as values and as lists; "slope_interval"
-#: is the one interval comparison
-SCALAR_EXPECTATIONS = ("rank", "dimension", "zero", "value")
-LIST_EXPECTATIONS = ("divisors", "dims", "sizes", "basis")
+#: expectation keys compared exactly with the job's value of the same name;
+#: "slope_interval" is the one interval comparison
+EXPECTATIONS = ("rank", "dimension", "zero", "value", "divisors", "dims", "sizes", "basis")
 
 
 def _validate_job(index, job):
@@ -307,7 +286,7 @@ def _validate_job(index, job):
     if not isinstance(expect, dict):
         raise ScenarioError(f"{where} ({op}): bad expectation {expect!r}")
     for key in sorted(expect):
-        if key not in ("slope_interval",) + SCALAR_EXPECTATIONS + LIST_EXPECTATIONS:
+        if key not in ("slope_interval",) + EXPECTATIONS:
             raise ScenarioError(f"{where} ({op}): unknown expectation key {key!r}")
 
 
@@ -324,19 +303,14 @@ def _apply_expectation(report, values, expect):
                 f"expect slope in [{lo}, {hi}]", "pass" if ok else "fail",
                 residual=None if ok else f"slope {got} = {float(got):.4f}",
             )
-        elif key in SCALAR_EXPECTATIONS:
+        else:
             got = values.get(key)
             ok = got == wanted
             report.add(f"expect {key} = {wanted!r}", "pass" if ok else "fail",
                        residual=None if ok else f"got {got!r}")
-        else:
-            got = values.get(key)
-            ok = list(got) == list(wanted)
-            report.add(f"expect {key} = {wanted!r}", "pass" if ok else "fail",
-                       residual=None if ok else f"got {got!r}")
 
 
-def run_scenario(scenario, cap_dim=4096, cap_group=None):
+def run_scenario(scenario, cap_dim=DEFAULT_DIM_CAP, cap_group=DEFAULT_GROUP_CAP):
     """Execute a parsed scenario; returns the RunReport dict (no I/O).
 
     Every job is validated before the algebra is built or any job runs.
@@ -429,8 +403,10 @@ def main(argv=None):
     run_p.add_argument("scenario")
     run_p.add_argument("--format", choices=("json", "text"), default="text")
     run_p.add_argument("--out", help="write the report to this path instead of stdout")
-    run_p.add_argument("--cap-dim", type=int, default=4096, help="span dimension cap")
-    run_p.add_argument("--cap-group", type=int, default=None, help="group closure cap")
+    run_p.add_argument("--cap-dim", type=int, default=DEFAULT_DIM_CAP,
+                       help="span dimension cap")
+    run_p.add_argument("--cap-group", type=int, default=DEFAULT_GROUP_CAP,
+                       help="group closure cap")
     run_p.add_argument("--no-timings", action="store_true",
                        help="omit timing fields (byte-reproducible output)")
 

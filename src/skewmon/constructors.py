@@ -24,6 +24,7 @@ from .arith import (
     restrict_to_hyperplane,
 )
 from .actions import (
+    DEFAULT_GROUP_CAP,
     FINITE_GROUP,
     LATTICE,
     Context,
@@ -65,7 +66,7 @@ class AlgebraSpec:
 # ---------------------------------------------------------------------------
 
 
-def build_shift_algebra(n, m, group_generators=None, group_cap=None):
+def build_shift_algebra(n, m, group_generators=None, group_cap=DEFAULT_GROUP_CAP):
     """k(x_1..x_n) * Z^m with epsilon_i(x_j) = x_j - delta_ij on the first m.
 
     ``group_generators`` optionally attaches a finite permutation group G
@@ -79,7 +80,7 @@ def build_shift_algebra(n, m, group_generators=None, group_cap=None):
     return Context(table, LATTICE, gens, group=group, coord_vars=range(m))
 
 
-def build_qshift_algebra(n, m, group_generators=None, group_cap=None):
+def build_qshift_algebra(n, m, group_generators=None, group_cap=DEFAULT_GROUP_CAP):
     """k(x_1..x_n) * Z^m with epsilon_i(x_j) = q^{delta_ij} x_j, q symbolic.
 
     The deformation parameter q is a genuine variable of the coefficient
@@ -100,13 +101,8 @@ def _shift_table(n, m, params, group_generators, group_cap):
         raise PreconditionError(f"need 0 <= m <= n, got n={n}, m={m}")
     names = [f"x{i}" for i in range(1, n + 1)]
     table = VariableTable(names[:m], names[m:], params)
-    if group_generators:
-        padded = [tuple(g) + tuple(range(n, table.nvars)) for g in group_generators]
-        kwargs = {"cap": group_cap} if group_cap else {}
-        group = Group.from_generators(table, padded, **kwargs)
-    else:
-        group = Group.trivial(table)
-    return table, group
+    padded = [tuple(g) + tuple(range(n, table.nvars)) for g in group_generators or ()]
+    return table, Group.from_generators(table, padded, cap=group_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +259,7 @@ def _row_offsets(n):
     return offsets
 
 
-def gt_embedding(n):
+def gt_embedding(n, group_cap=DEFAULT_GROUP_CAP):
     """Row-variable realization of the gl_n generators.
 
     Variables x_{ki} (1 <= i <= k <= n) in row-major order; the lattice
@@ -295,7 +291,7 @@ def gt_embedding(n):
             perm = list(range(nv))
             perm[base + i], perm[base + i + 1] = perm[base + i + 1], perm[base + i]
             group_gens.append(tuple(perm))
-    group = Group.from_generators(table, group_gens) if group_gens else Group.trivial(table)
+    group = Group.from_generators(table, group_gens, cap=group_cap)
 
     lattice_gens = [
         ShiftAut(table, tuple(QQ(-1) if j == c else QQ(0) for j in range(nv)))
@@ -353,7 +349,7 @@ def gt_embedding(n):
 # ---------------------------------------------------------------------------
 
 
-def symmetric_group_context(n, names=None):
+def symmetric_group_context(n, names=None, group_cap=DEFAULT_GROUP_CAP):
     """L = k(x_1..x_n) with keys the symmetric group S_n permuting the variables."""
     if n < 2:
         raise PreconditionError("need at least two variables")
@@ -364,13 +360,13 @@ def symmetric_group_context(n, names=None):
         perm = list(range(n))
         perm[i], perm[i + 1] = perm[i + 1], perm[i]
         gens.append(tuple(perm))
-    key_group = Group.from_generators(table, gens)
+    key_group = Group.from_generators(table, gens, cap=group_cap)
     return Context(table, FINITE_GROUP, key_group=key_group)
 
 
-def demazure_elements(n):
+def demazure_elements(n, group_cap=DEFAULT_GROUP_CAP):
     """theta_i = (x_i - x_{i+1})^{-1} (s_i - 1) for i = 1..n-1, as skew elements."""
-    ctx = symmetric_group_context(n)
+    ctx = symmetric_group_context(n, group_cap=group_cap)
     nv = ctx.table.nvars
     out = []
     for i in range(n - 1):

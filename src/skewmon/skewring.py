@@ -253,14 +253,13 @@ def orbit_sum(a, mu):
 
 
 def is_invariant(u, group=None):
-    """True iff the normalized form of u is fixed by every element of G."""
+    """True iff the normalized form of u is fixed by every element of G.
+
+    g -> g_action(g, .) is a group action, so the generators of G suffice
+    (every non-identity element for a group built without generators).
+    """
     group = group if group is not None else u.context.group
-    for g in group:
-        if g.is_identity():
-            continue
-        if g_action(g, u) != u:
-            return False
-    return True
+    return all(g.is_identity() or g_action(g, u) == u for g in group.generator_elements())
 
 
 def support(u):

@@ -39,6 +39,7 @@ from skewmon.analysis import (
     standard_identity,
     sum_of,
     support_lattice_rank,
+    theta_relation_set,
     verify_relations,
 )
 from skewmon.randomized import ore_witness_trials, random_ratfunc
@@ -108,6 +109,25 @@ class TestVerifyRelations:
         with pytest.raises(DefinitionError):
             evaluate_expression(spec, {"mystery": []})
 
+
+    def test_theta_relation_table_over_s4(self):
+        thetas = demazure_elements(4)
+        gens = {f"theta{i}": th for i, th in enumerate(thetas, start=1)}
+        spec = AlgebraSpec(thetas[0].context, gens, [])
+        report = verify_relations(spec, theta_relation_set(4))
+        assert [c.name for c in report.checks] == [
+            "theta1^2 = 0", "theta2^2 = 0", "theta3^2 = 0",
+            "braid theta1 theta2", "braid theta2 theta3", "[theta1, theta3] = 0",
+        ]
+        assert report.passed, report.failures()
+
+    def test_element_leaves(self):
+        spec = gt_embedding(2)
+        e12 = spec.generators["E12"]
+        assert analysis.evaluate_expression(spec, "E12") is e12
+        assert analysis.evaluate_expression(spec, e12.to_json()) == e12
+        with pytest.raises(DefinitionError, match="unknown generator 'E13'"):
+            analysis.evaluate_expression(spec, "E13")
 
 class TestSmithNormalForm:
     def test_coprime_pair(self):
@@ -498,6 +518,20 @@ class TestGrowth:
             growth_profile(frame, 12, dim_cap=20)
         assert info.value.partial is not None
         assert info.value.partial.dims[0] == 3
+
+    def test_dim_cap_on_the_frame_itself(self, monkeypatch):
+        ctx = build_shift_algebra(1, 1)
+        frame = [
+            SkewElement.one(ctx),
+            SkewElement.scalar(ctx, ctx.table.var("x1")),
+            SkewElement.generator(ctx, (1,)),
+        ]
+        products = []
+        monkeypatch.setattr(SkewElement, "__mul__", counting(products, SkewElement.__mul__))
+        with pytest.raises(ResourceCapError, match="span dimension 3 exceeded the cap 2") as info:
+            growth_profile(frame, 3, dim_cap=2)
+        assert products == []
+        assert info.value.partial is None
 
     def test_profile_validation(self):
         with pytest.raises(PreconditionError):

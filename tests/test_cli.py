@@ -12,12 +12,14 @@ from skewmon.cli import (
     run_scenario,
     strip_timings,
 )
+from skewmon.errors import DefinitionError, ResourceCapError
 from skewmon.reports import dump_json
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 EXPECTED_SUITES = [
     "center-ww",
+    "growth-gt3",
     "growth-weyl",
     "gt-2",
     "gt-3",
@@ -86,6 +88,36 @@ class TestSuites:
         path.write_text(json.dumps(scenario))
         assert main(["run", str(path)]) == 2
         capsys.readouterr()
+
+    def test_unknown_frame_name_names_the_generator(self, tmp_path, capsys):
+        scenario = {
+            "algebra": {"kind": "gt", "n": 2},
+            "jobs": [{"op": "growth_profile", "frame": [{"const": "1"}, "E13"], "k_max": 2}],
+        }
+        with pytest.raises(DefinitionError, match="unknown generator 'E13'"):
+            run_scenario(scenario)
+        path = tmp_path / "bad-frame.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["run", str(path)]) == 2
+        assert "'E13'" in capsys.readouterr().err
+
+    def test_theta_relations_need_a_nilhecke_algebra(self):
+        scenario = {"algebra": {"kind": "gt", "n": 2}, "jobs": [{"op": "theta_relations"}]}
+        with pytest.raises(ScenarioError, match="nilhecke"):
+            run_scenario(scenario)
+
+    def test_every_element_form_in_one_job(self):
+        # a generator name, {"gen": ...}, a commutator and a terms literal
+        scenario = {
+            "algebra": {"kind": "gt", "n": 2},
+            "jobs": [{
+                "op": "standard_identity",
+                "elements": ["E12", {"gen": "E21"}, {"comm": ["E12", "E21"]},
+                             {"terms": [{"key": [0], "num": "x11"}]}],
+            }],
+        }
+        report = run_scenario(scenario)
+        assert report["aggregate"] == "pass", dump_json(report)
 
     def test_explicit_gwa_block(self):
         scenario = {
@@ -158,6 +190,15 @@ class TestExitCodes:
         assert main(["run", str(path)]) == 2
         capsys.readouterr()
 
+    def test_cap_group_reaches_the_gt_builder(self, capsys):
+        assert main(["run", "gt-3", "--cap-group", "1"]) == 3
+        assert "group closure exceeded the cap of 1" in capsys.readouterr().err
+
+    def test_cap_group_reaches_the_nilhecke_builder(self):
+        scenario = {"algebra": {"kind": "nilhecke", "n": 4}, "jobs": []}
+        with pytest.raises(ResourceCapError):
+            run_scenario(scenario, cap_group=5)
+
     def test_resource_cap_is_three(self, tmp_path, capsys):
         scenario = json.loads(load_scenario_text("growth-weyl"))
         path = tmp_path / "capped.json"
@@ -226,6 +267,27 @@ class TestJobValidation:
         with pytest.raises(ScenarioError, match=f"job 2 'second' \\(monoid_growth\\): {message}"):
             run_scenario(scenario)
         assert calls == []
+
+
+class TestExpectations:
+    def test_missing_list_value_fails_its_job_only(self, tmp_path, capsys):
+        scenario = {
+            "algebra": {"kind": "shift_algebra", "n": 2, "m": 2},
+            "jobs": [
+                {"name": "lattice", "op": "support_lattice_rank", "expect": {"dims": [1]}},
+                dict(TestJobValidation.BALLS, expect={"sizes": [3, 6, 10, 15]}),
+            ],
+        }
+        report = run_scenario(scenario)
+        bad, good = report["jobs"]
+        assert bad["status"] == "fail"
+        assert bad["checks"][-1] == {"name": "expect dims = [1]", "status": "fail",
+                                     "residual": "got None"}
+        assert good["status"] == "pass" and good["values"]["sizes"] == [3, 6, 10, 15]
+        path = tmp_path / "missing-value.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["run", str(path)]) == 1
+        assert "FAIL expect dims = [1]  <- got None" in capsys.readouterr().out
 
 
 class TestOutput:

@@ -4,7 +4,7 @@ import pytest
 
 from skewmon.arith import Polynomial, QQ, RatFunc, poly_to_text
 from skewmon.actions import MonoidElement, ScalingAut, ShiftAut, VariableTable
-from skewmon.errors import PreconditionError, UnsupportedModeError
+from skewmon.errors import PreconditionError, ResourceCapError, UnsupportedModeError
 from skewmon.skewring import SkewElement, commutator, is_invariant, kpart
 from skewmon.constructors import (
     GWASpec,
@@ -222,6 +222,10 @@ class TestGT:
         assert t.n_acted == 3 and t.n_fixed == 3
         assert len(alg.context.group) == 12  # S_1 x S_2 x S_3
 
+    def test_group_cap(self):
+        with pytest.raises(ResourceCapError):
+            gt_embedding(3, group_cap=5)
+
 
 class TestDemazure:
     def test_theta1_form(self):
@@ -229,6 +233,10 @@ class TestDemazure:
         assert len(th) == 1
         text = th[0].to_text()
         assert text == "(-1)/(1*x1 + -1*x2) ⊗ [0,1] + (1)/(1*x1 + -1*x2) ⊗ [1,0]"
+
+    def test_group_cap(self):
+        with pytest.raises(ResourceCapError):
+            demazure_elements(4, group_cap=5)  # |S_4| = 24
 
     def test_square_zero(self):
         for n in (2, 3, 4):

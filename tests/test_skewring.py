@@ -5,7 +5,8 @@ import pytest
 from skewmon.arith import Polynomial, RatFunc
 from skewmon.actions import MonoidElement
 from skewmon.errors import InvarianceError, StabilizerInvarianceError
-from skewmon.constructors import build_shift_algebra
+from skewmon import skewring
+from skewmon.constructors import build_shift_algebra, gt_embedding
 from skewmon.skewring import (
     SkewElement,
     commutator,
@@ -89,6 +90,13 @@ class TestProduct:
         assert eps * x == SkewElement.generator(s11, (1,), x - s11.table.poly("1"))
         assert x * eps == SkewElement.generator(s11, (1,), x)
         assert (2 * eps - eps) == eps
+
+    def test_power(self, s22):
+        u = rand_elem(random.Random(23), s22)
+        assert u**3 == u * u * u
+        assert u**0 == SkewElement.one(s22)
+        with pytest.raises(ValueError):
+            u ** -1
 
 
 class TestGAction:
@@ -188,6 +196,28 @@ class TestInvariance:
 
     def test_zero(self, s22):
         assert is_invariant(SkewElement.zero(s22))
+
+    def test_checks_group_generators_only(self, monkeypatch):
+        alg = gt_embedding(3)  # |G| = 12, three generators
+        calls = []
+
+        def counted(g, u):
+            calls.append(g)
+            return g_action(g, u)
+
+        monkeypatch.setattr(skewring, "g_action", counted)
+        assert is_invariant(alg.generators["E23"])
+        assert len(calls) <= 3
+
+    def test_group_without_generators(self, s22):
+        # a stabilizer is built without generators: every element is checked
+        from skewmon.actions import stabilizer
+
+        stab = stabilizer(s22.group, MonoidElement(s22, (1, 1)))
+        assert len(stab) == 2 and not stab.gen_perms
+        x1, x2 = s22.table.var("x1"), s22.table.var("x2")
+        assert not is_invariant(SkewElement.scalar(s22, x1), stab)
+        assert is_invariant(SkewElement.scalar(s22, x1 + x2), stab)
 
 
 class TestStructure:

@@ -178,50 +178,33 @@ class ScalingAut(Automorphism):
         self.exps = exps
 
     def apply(self, f):
+        # A scaling maps distinct monomials to distinct monomials, so each
+        # term is written once; the images of a coprime pair can share only a
+        # monomial, which the smallest exponent of each variable removes.
         if f.num.is_zero():
             return f
-        num, dnum = self._apply_laurent(f.num)
-        den, dden = self._apply_laurent(f.den)
-        # f = (num/dnum) / (den/dden) with monomial dnum, dden
-        new_num = num.mul_term(dden, QQ(1))
-        new_den = den.mul_term(dnum, QQ(1))
-        common = tuple(
-            min(a, b) for a, b in zip(new_num.monomial_content(), new_den.monomial_content())
-        )
-        if any(common):
-            new_num = new_num.divide_by_monomial(common)
-            new_den = new_den.divide_by_monomial(common)
-        return RatFunc._raw(*_monic_den(new_num, new_den))
-
-    def _apply_laurent(self, p):
-        """Return (polynomial, monomial-denominator-exponents)."""
-        nv = p.nvars
-        raw = {}
-        mins = [0] * nv
-        for e, c in p.terms.items():
-            shift = [0] * nv
-            coeff = c
-            for i, d in enumerate(e):
-                if not d:
-                    continue
-                ci = self.coeffs[i]
-                if ci != 1:
-                    coeff = coeff * ci**d
-                ei = self.exps[i]
-                if any(ei):
-                    for j, x in enumerate(ei):
-                        shift[j] += x * d
-            ne = tuple(a + b for a, b in zip(e, shift))
-            raw[ne] = raw.get(ne, QQ(0)) + coeff
-            for j, x in enumerate(ne):
-                if x < mins[j]:
-                    mins[j] = x
-        if any(mins):
-            lift = tuple(-m for m in mins)
-            raw = {tuple(a + b for a, b in zip(e, lift)): c for e, c in raw.items()}
-        else:
-            lift = (0,) * nv
-        return Polynomial._raw(nv, {e: c for e, c in raw.items() if c != 0}), lift
+        images = []
+        for p in (f.num, f.den):
+            image = {}
+            for e, c in p.terms.items():
+                ne = list(e)
+                for i, d in enumerate(e):
+                    if d:
+                        if self.coeffs[i] != 1:
+                            c = c * self.coeffs[i] ** d
+                        for j, x in enumerate(self.exps[i]):
+                            if x:
+                                ne[j] += x * d
+                image[tuple(ne)] = c
+            images.append(image)
+        low = tuple(map(min, zip(*images[0], *images[1])))
+        if any(low):
+            images = [
+                {tuple(a - b for a, b in zip(e, low)): c for e, c in image.items()}
+                for image in images
+            ]
+        num, den = (Polynomial._raw(f.num.nvars, image) for image in images)
+        return RatFunc._raw(*_monic_den(num, den))
 
     def inverse(self):
         return ScalingAut(

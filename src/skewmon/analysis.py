@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import permutations
 
-from .arith import QQ, Polynomial, RatFunc, poly_lcm
+from .arith import Polynomial, RatFunc, poly_lcm
 from .actions import LATTICE
 from .errors import (
     ContextMismatchError,
@@ -79,10 +79,15 @@ def sum_of(*args):
 
 def evaluate_expression(spec, expr):
     """The skew element that ``expr`` (see above) denotes over ``spec``; a
-    generator name missing from ``spec.generators`` raises DefinitionError."""
+    generator name missing from ``spec.generators``, or a node of any other
+    form, raises DefinitionError."""
     ctx = spec.context
-    if isinstance(expr, str) or "gen" in expr:
-        name = expr if isinstance(expr, str) else expr["gen"]
+    if isinstance(expr, str):
+        expr = {"gen": expr}
+    elif not isinstance(expr, dict):
+        raise DefinitionError(f"unrecognized expression node {expr!r}")
+    if "gen" in expr:
+        name = expr["gen"]
         if name not in spec.generators:
             raise DefinitionError(f"unknown generator {name!r}")
         return spec.generators[name]
@@ -281,14 +286,9 @@ def _split_by_nonparam(poly, table):
     np_count = table.n_acted + table.n_fixed
     out = {}
     for e, c in poly.terms.items():
-        head = e[:np_count]
-        tail = (0,) * np_count + e[np_count:]
-        bucket = out.setdefault(head, {})
-        bucket[tail] = bucket.get(tail, QQ(0)) + c
-    return {
-        head: Polynomial._raw(poly.nvars, {e: c for e, c in b.items() if c != 0})
-        for head, b in out.items()
-    }
+        head, tail = e[:np_count], (0,) * np_count + e[np_count:]
+        out.setdefault(head, {})[tail] = c
+    return {head: Polynomial._raw(poly.nvars, b) for head, b in out.items()}
 
 
 def _subtract_multiple(row, factor, pivot_row):
@@ -398,8 +398,7 @@ def _monomials_up_to(table, degree):
                 e[pos] = d
                 yield tuple(e)
 
-    monos = set(rec(0, degree))
-    return sorted(monos, key=lambda e: (sum(e), e))
+    return sorted(rec(0, degree), key=lambda e: (sum(e), e))
 
 
 def center_candidates(spec, degree_bound):

@@ -297,15 +297,9 @@ class Polynomial:
         """
         out = {}
         for e, c in self.terms.items():
-            d = e[var]
             stripped = e[:var] + (0,) + e[var + 1 :]
-            bucket = out.setdefault(d, {})
-            bucket[stripped] = bucket.get(stripped, QQ(0)) + c
-        return {
-            d: Polynomial._raw(self.nvars, {e: c for e, c in b.items() if c != 0})
-            for d, b in out.items()
-            if any(c != 0 for c in b.values())
-        }
+            out.setdefault(e[var], {})[stripped] = c
+        return {d: Polynomial._raw(self.nvars, b) for d, b in out.items()}
 
     def substitute_var(self, var, image):
         """Substitute ``image`` (a Polynomial) for one variable, exactly."""
@@ -332,13 +326,11 @@ class Polynomial:
         return Polynomial._raw(self.nvars, out)
 
     def derivative(self, var):
-        out = {}
-        for e, c in self.terms.items():
-            d = e[var]
-            if d:
-                ne = e[:var] + (d - 1,) + e[var + 1 :]
-                out[ne] = out.get(ne, QQ(0)) + c * d
-        return Polynomial._raw(self.nvars, {e: c for e, c in out.items() if c != 0})
+        return Polynomial._raw(self.nvars, {
+            e[:var] + (e[var] - 1,) + e[var + 1 :]: c * e[var]
+            for e, c in self.terms.items()
+            if e[var]
+        })
 
     def evaluate(self, point):
         if len(point) != self.nvars:

@@ -19,6 +19,7 @@ from .arith import (
     Polynomial,
     RatFunc,
     pole_order,
+    poly_to_text,
     ratfunc_to_text,
     residue_along,
     restrict_to_hyperplane,
@@ -383,7 +384,7 @@ def demazure_elements(n, group_cap=DEFAULT_GROUP_CAP):
     return out
 
 
-def hecke_membership_check(element, roots=None, mode="degenerate", vanishing_value=None):
+def hecke_membership_check(element, mode="degenerate", vanishing_value=None):
     """Pole, residue and vanishing conditions for Hecke-type membership.
 
     Works over finite-group keys in additive type-A coordinates.  For each
@@ -407,8 +408,8 @@ def hecke_membership_check(element, roots=None, mode="degenerate", vanishing_val
         raise PreconditionError(f"unknown mode {mode!r}")
     if mode == "q" and vanishing_value is None:
         raise PreconditionError("q mode needs the vanishing level of the shifted divisor")
-    if roots is None:
-        roots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    roots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    hyperplanes = [Polynomial.variable(n, i) - Polynomial.variable(n, j) for i, j in roots]
 
     names = ctx.table.names
     report = Report(f"Hecke membership conditions ({mode})")
@@ -421,22 +422,16 @@ def hecke_membership_check(element, roots=None, mode="degenerate", vanishing_val
         return None if r.is_zero() else ratfunc_to_text(r, names)
 
     # condition 1b: poles only along root hyperplanes
-    all_forms = [
-        Polynomial.variable(n, i) - Polynomial.variable(n, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-    ]
-
     def leftover_denominator(w):
         den = element.coeffs[w].den
-        for h in all_forms:
+        for h in hyperplanes:
             hm = h.monic()
             while True:
                 q = den.divide_exact(hm)
                 if q is None:
                     break
                 den = q
-        return None if den.is_constant() else f"leftover denominator {den!r}"
+        return None if den.is_constant() else f"leftover denominator {poly_to_text(den, names)}"
 
     for w in support:
         report.check(
@@ -444,8 +439,7 @@ def hecke_membership_check(element, roots=None, mode="degenerate", vanishing_val
             lambda w=w: leftover_denominator(w),
         )
 
-    for (i, j) in roots:
-        h = Polynomial.variable(n, i) - Polynomial.variable(n, j)
+    for (i, j), h in zip(roots, hyperplanes):
         alpha_name = f"{names[i]}-{names[j]}"
         s_alpha = list(range(n))
         s_alpha[i], s_alpha[j] = s_alpha[j], s_alpha[i]

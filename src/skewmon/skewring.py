@@ -94,18 +94,7 @@ class SkewElement:
     def __add__(self, other):
         other = self._coerce(other)
         self._check(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            s = out.get(k)
-            if s is None:
-                out[k] = v
-            else:
-                s = s + v
-                if s.is_zero():
-                    del out[k]
-                else:
-                    out[k] = s
-        return SkewElement._raw(self.context, out)
+        return _collect(self.context, other.coeffs.items(), dict(self.coeffs))
 
     def __radd__(self, other):
         return self + other
@@ -130,18 +119,11 @@ class SkewElement:
         other = self._coerce(other)
         self._check(other)
         ctx = self.context
-        out = {}
-        for mu, a in self.coeffs.items():
-            for nu, b in other.coeffs.items():
-                key = ctx.key_compose(mu, nu)
-                term = a * ctx.act_key(mu, b)
-                s = out.get(key)
-                s = term if s is None else s + term
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return SkewElement._raw(ctx, out)
+        return _collect(ctx, (
+            (ctx.key_compose(mu, nu), a * ctx.act_key(mu, b))
+            for mu, a in self.coeffs.items()
+            for nu, b in other.coeffs.items()
+        ))
 
     def __rmul__(self, other):
         return self._coerce(other) * self
@@ -200,6 +182,19 @@ class SkewElement:
         return f"SkewElement<{self.to_text()}>"
 
 
+def _collect(ctx, terms, out=None):
+    """The element sum of ``(key, coefficient)`` terms, added onto ``out``.
+
+    Each key's coefficients are added in arrival order; keys whose sum is
+    zero are dropped once, at the end.
+    """
+    out = {} if out is None else out
+    for key, c in terms:
+        s = out.get(key)
+        out[key] = c if s is None else s + c
+    return SkewElement._raw(ctx, {k: v for k, v in out.items() if not v.is_zero()})
+
+
 def commutator(u, v):
     return u * v - v * u
 
@@ -212,17 +207,7 @@ def commutator(u, v):
 def g_action(g, u):
     """(a mu)^g = g(a) (g.mu) for a PermutationAut g; an algebra automorphism."""
     ctx = u.context
-    out = {}
-    for key, a in u.coeffs.items():
-        new_key = ctx.conjugate_key(g, key)
-        val = g.apply(a)
-        s = out.get(new_key)
-        s = val if s is None else s + val
-        if s.is_zero():
-            out.pop(new_key, None)
-        else:
-            out[new_key] = s
-    return SkewElement._raw(ctx, out)
+    return _collect(ctx, ((ctx.conjugate_key(g, key), g.apply(a)) for key, a in u.coeffs.items()))
 
 
 def orbit_sum(a, mu):

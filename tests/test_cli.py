@@ -101,6 +101,19 @@ class TestSuites:
         assert main(["run", str(path)]) == 2
         assert "'E13'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("node", [5, None, True, 3.5])
+    def test_non_object_element_names_the_node(self, node, tmp_path, capsys):
+        scenario = {
+            "algebra": {"kind": "gt", "n": 2},
+            "jobs": [{"op": "growth_profile", "frame": [{"const": "1"}, node], "k_max": 2}],
+        }
+        with pytest.raises(DefinitionError, match=f"unrecognized expression node {node!r}"):
+            run_scenario(scenario)
+        path = tmp_path / "bad-node.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["run", str(path)]) == 2
+        assert f"unrecognized expression node {node!r}" in capsys.readouterr().err
+
     def test_theta_relations_need_a_nilhecke_algebra(self):
         scenario = {"algebra": {"kind": "gt", "n": 2}, "jobs": [{"op": "theta_relations"}]}
         with pytest.raises(ScenarioError, match="nilhecke"):

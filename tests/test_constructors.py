@@ -314,6 +314,14 @@ class TestHeckeCheck:
         report = hecke_membership_check(bad)
         assert any("root hyperplanes" in c.name for c in report.failures())
 
+    def test_off_root_pole_residual_is_canonical_text(self):
+        ctx = symmetric_group_context(3)
+        x1, x2 = Polynomial.variable(3, 0), Polynomial.variable(3, 1)
+        bad = SkewElement(ctx, {(0, 1, 2): RatFunc.from_poly(x1 + x2).invert()})
+        [failure] = hecke_membership_check(bad).failures()
+        assert failure.name == "cond1: poles of f_(1 2 3) lie on root hyperplanes"
+        assert failure.residual == "leftover denominator 1*x1 + 1*x2"
+
     def test_q_mode_vanishing(self):
         # f_{s_alpha} supported on alpha = 1 must vanish there in q mode:
         # take f_w = alpha - 1 poles nowhere, w^{-1}(alpha) negative for w = s

@@ -1,7 +1,8 @@
 """Hypothesis properties of the canonical RatFunc form.
 
 Every operation must return a coprime numerator/denominator pair whose
-denominator is grlex-monic, and exactly 1 when it is constant.
+denominator is grlex-monic, and exactly 1 when it is constant.  A scaling
+automorphism must also agree with plain substitution.
 """
 
 from itertools import permutations
@@ -17,7 +18,7 @@ from skewmon.actions import (  # noqa: E402
     ScalingAut,
     VariableTable,
 )
-from skewmon.arith import Polynomial, RatFunc, poly_gcd  # noqa: E402
+from skewmon.arith import Polynomial, RatFunc, poly_gcd, substitute  # noqa: E402
 
 NV = 3
 ONE = Polynomial.const(NV, 1)
@@ -80,6 +81,17 @@ def test_inverse_and_powers_are_canonical(r, k):
 @given(ratfuncs, scalings)
 def test_scaling_is_canonical(r, g):
     assert_canonical(g.apply(r))
+
+
+@fast
+@given(ratfuncs, scalings)
+def test_scaling_agrees_with_substitution(r, g):
+    # oracle: substitute x_i -> c_i * q^k_i * x_i; a negative k_i puts q in
+    # the denominator, so the scaled form must shift the q exponents back
+    q = SCALING_TABLE.var("q")
+    images = {i: SCALING_TABLE.var(name).scale(g.coeffs[i]) * q ** g.exps[i][2]
+              for i, name in enumerate(["x", "y"])}
+    assert g.apply(r) == substitute(r, images)
 
 
 @fast

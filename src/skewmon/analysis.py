@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import permutations
 
-from .arith import Polynomial, RatFunc, poly_lcm
+from .arith import Polynomial, RatFunc, _accumulate, poly_lcm
 from .actions import LATTICE
 from .errors import (
     ContextMismatchError,
@@ -291,17 +291,6 @@ def _split_by_nonparam(poly, table):
     return {head: Polynomial._raw(poly.nvars, b) for head, b in out.items()}
 
 
-def _subtract_multiple(row, factor, pivot_row):
-    """row -= factor * pivot_row in place, dropping entries that become zero."""
-    for c, v in pivot_row.items():
-        cur = row.get(c)
-        nxt = (cur - factor * v) if cur is not None else -(factor * v)
-        if nxt.is_zero():
-            row.pop(c, None)
-        else:
-            row[c] = nxt
-
-
 class _SpanReducer:
     """Incremental row reduction over the parameter fraction field.
 
@@ -321,7 +310,7 @@ class _SpanReducer:
             hit = min((c for c in vec if c in pivot_rows), default=None)
             if hit is None:
                 return vec
-            _subtract_multiple(vec, vec[hit], pivot_rows[hit])
+            _accumulate(vec, pivot_rows[hit].items(), coeff=-vec[hit])
 
     def add(self, vec):
         """Reduce vec against the span; extend the basis if independent."""
@@ -333,7 +322,7 @@ class _SpanReducer:
         vec = {c: v * inv for c, v in vec.items()}
         for row in self.pivot_rows.values():
             if pivot in row:
-                _subtract_multiple(row, row[pivot], vec)
+                _accumulate(row, vec.items(), coeff=-row[pivot])
         self.pivot_rows[pivot] = vec
         return True
 
@@ -670,8 +659,12 @@ def growth_profile(frame, k_max, dim_cap=DEFAULT_DIM_CAP):
     )
 
 
-def monoid_growth(generators, k_max):
-    """Word-metric ball sizes |B_k| for k = 1..k_max in the lattice monoid."""
+def monoid_growth(generators, k_max, dim_cap=DEFAULT_DIM_CAP):
+    """Word-metric ball sizes |B_k| for k = 1..k_max in the lattice monoid.
+
+    |B_k| is the span dimension of F^k in the monoid algebra, so a ball over
+    ``dim_cap`` raises ResourceCapError with the sizes so far as ``partial``.
+    """
     if not generators:
         raise PreconditionError("need at least one generator")
     vectors = []
@@ -692,4 +685,7 @@ def monoid_growth(generators, k_max):
         ball |= new
         frontier = new
         sizes.append(len(ball))
+        if len(ball) > dim_cap:
+            raise ResourceCapError(f"ball size {len(ball)} exceeded the cap {dim_cap}",
+                                   partial=sizes)
     return sizes

@@ -27,6 +27,7 @@ used.
 
 import math
 from fractions import Fraction
+from operator import add
 
 from .errors import (
     ContextMismatchError,
@@ -40,6 +41,25 @@ QQ = Fraction
 #: Degree of the zero polynomial.  A sentinel for comparisons only; it never
 #: participates in coefficient arithmetic.
 NEG_INF = float("-inf")
+
+
+def _accumulate(out, terms, coeff=None, shift=None):
+    """Add ``(key, coefficient)`` terms into the sparse dict ``out`` in place
+    and return it: coefficients times ``coeff`` and exponent keys moved by
+    ``shift`` when given, and keys whose sum is zero deleted.  ``out`` must be
+    a new dict, never an operand's own."""
+    for key, c in terms:
+        if shift is not None:
+            key = tuple(map(add, key, shift))
+        if coeff is not None:
+            c = c * coeff
+        s = out.get(key)
+        c = c if s is None else s + c
+        if c:
+            out[key] = c
+        else:
+            out.pop(key, None)
+    return out
 
 
 class Polynomial:
@@ -146,48 +166,29 @@ class Polynomial:
             return other
         if not other.terms:
             return self
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            if s is None:
-                out[e] = c
-            else:
-                s = s + c
-                if s == 0:
-                    del out[e]
-                else:
-                    out[e] = s
-        return Polynomial._raw(self.nvars, out)
+        return Polynomial._raw(self.nvars, _accumulate(dict(self.terms), other.terms.items()))
 
     def __neg__(self):
         return Polynomial._raw(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        self._check(other)
+        out = _accumulate(dict(self.terms), other.terms.items(), coeff=-1)
+        return Polynomial._raw(self.nvars, out)
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
-        if not self.terms or not other.terms:
-            return Polynomial.zero(self.nvars)
         # iterate over the shorter operand outside
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
         out = {}
         for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e)
-                if s is None:
-                    out[e] = ca * cb
-                else:
-                    s = s + ca * cb
-                    if s == 0:
-                        del out[e]
-                    else:
-                        out[e] = s
+            _accumulate(out, b.items(), coeff=ca, shift=ea)
         return Polynomial._raw(self.nvars, out)
 
     def __pow__(self, k):
@@ -207,15 +208,6 @@ class Polynomial:
         if c == 0:
             return Polynomial.zero(self.nvars)
         return Polynomial._raw(self.nvars, {e: k * c for e, k in self.terms.items()})
-
-    def mul_term(self, exps, coeff):
-        """Multiply by the single term ``coeff * x^exps``."""
-        if coeff == 0:
-            return Polynomial.zero(self.nvars)
-        return Polynomial._raw(
-            self.nvars,
-            {tuple(a + b for a, b in zip(e, exps)): c * coeff for e, c in self.terms.items()},
-        )
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -261,12 +253,6 @@ class Polynomial:
                 break
         return tuple(m)
 
-    def divide_by_monomial(self, exps):
-        return Polynomial._raw(
-            self.nvars,
-            {tuple(a - b for a, b in zip(e, exps)): c for e, c in self.terms.items()},
-        )
-
     def divide_exact(self, d):
         """Exact quotient self/d, or None when d does not divide self."""
         if d.is_zero():
@@ -276,15 +262,15 @@ class Polynomial:
             return self.scale(1 / d.constant_value())
         de, dc = d.leading_term()
         q = {}
-        r = self
-        while r.terms:
-            re, rc = r.leading_term()
+        r = dict(self.terms)
+        while r:
+            re = max(r, key=lambda t: (sum(t), t))
             diff = tuple(a - b for a, b in zip(re, de))
             if any(x < 0 for x in diff):
                 return None
-            c = rc / dc
+            c = r[re] / dc
             q[diff] = c
-            r = r - d.mul_term(diff, c)
+            _accumulate(r, d.terms.items(), coeff=-c, shift=diff)
         return Polynomial._raw(self.nvars, q)
 
     # -- calculus-free structural operations ----------------------------------
@@ -371,12 +357,12 @@ def poly_gcd(p, q):
     mp = p.monomial_content()
     mq = q.monomial_content()
     common = tuple(min(a, b) for a, b in zip(mp, mq))
-    p1 = p.divide_by_monomial(mp)
-    q1 = q.divide_by_monomial(mq)
+    p1 = Polynomial._raw(p.nvars, _accumulate({}, p.terms.items(), shift=[-d for d in mp]))
+    q1 = Polynomial._raw(q.nvars, _accumulate({}, q.terms.items(), shift=[-d for d in mq]))
 
     g = _gcd_primitive_parts(p1, q1)
     if any(common):
-        g = g.mul_term(common, QQ(1))
+        g = Polynomial._raw(g.nvars, _accumulate({}, g.terms.items(), shift=common))
     return g.monic()
 
 
@@ -428,17 +414,15 @@ def _gcd_univariate(p, q, v):
 def _uni_rem(a, b, v):
     db = b.degree_in(v)
     lcb = b.terms[max(b.terms, key=lambda e: e[v])]
-    r = a
-    while not r.is_zero():
-        dr = r.degree_in(v)
-        if dr < db:
+    r = dict(a.terms)
+    shift = [0] * a.nvars
+    while r:
+        e = max(r, key=lambda t: t[v])
+        if e[v] < db:
             break
-        e = max(r.terms, key=lambda t: t[v])
-        c = r.terms[e] / lcb
-        shift = [0] * r.nvars
-        shift[v] = dr - db
-        r = r - b.mul_term(tuple(shift), c)
-    return r
+        shift[v] = e[v] - db
+        _accumulate(r, b.terms.items(), coeff=-(r[e] / lcb), shift=shift)
+    return Polynomial._raw(a.nvars, r)
 
 
 def _content_and_primitive(p, v):
@@ -469,14 +453,15 @@ def _pseudo_rem(a, b, v):
     lcb = b.coeffs_in(v)[db]
     missing = a.degree_in(v) - db + 1  # factors of lc(b) still owed
     r = a
+    shift = [0] * a.nvars
     while not r.is_zero():
         dr = r.degree_in(v)
         if dr < db:
             break
         lcr = r.coeffs_in(v)[dr]
-        shift = [0] * r.nvars
         shift[v] = dr - db
-        r = lcb * r - (b * lcr).mul_term(tuple(shift), QQ(1))
+        r = lcb * r  # a new polynomial, so its terms may be updated in place
+        _accumulate(r.terms, (b * lcr).terms.items(), coeff=-1, shift=shift)
         missing -= 1
     return lcb**missing * r if missing and not r.is_zero() else r
 
@@ -546,6 +531,9 @@ class RatFunc:
 
     def is_zero(self):
         return self.num.is_zero()
+
+    def __bool__(self):
+        return bool(self.num.terms)
 
     def is_polynomial(self):
         return self.den.is_constant()
@@ -826,8 +814,7 @@ def poly_from_text(text, names):
                 exps[index[factor]] += 1
             else:
                 coeff = coeff * QQ(Fraction(factor.replace(" ", "")))
-        e = tuple(exps)
-        terms[e] = terms.get(e, QQ(0)) + coeff
+        _accumulate(terms, [(tuple(exps), coeff)])
     return Polynomial(nvars, terms)
 
 

@@ -141,6 +141,8 @@ def _job_verify_gwa(rt, job):
 def _job_verify_relations(rt, job):
     rels = job.get("relations", "gl")
     if rels == "gl":
+        if rt.kind != "gt":
+            raise ScenarioError("verify_relations: the default gl table needs a gt algebra block")
         n = max(int(name[1]) for name in rt.algebra.generators if name.startswith("E"))
         rels = gl_relation_set(n)
     return verify_relations(rt.algebra, rels), {}
@@ -228,7 +230,7 @@ def _job_growth_profile(rt, job):
 def _job_monoid_growth(rt, job):
     ctx = rt.algebra.context
     gens = [MonoidElement(ctx, tuple(v)) for v in job["generators"]]
-    sizes = monoid_growth(gens, job["k_max"])
+    sizes = monoid_growth(gens, job["k_max"], dim_cap=rt.cap_dim)
     slope = fit_loglog_slope(sizes)
     report = Report("monoid ball growth")
     report.add("ball sizes computed", "pass")
@@ -404,7 +406,7 @@ def main(argv=None):
     run_p.add_argument("--format", choices=("json", "text"), default="text")
     run_p.add_argument("--out", help="write the report to this path instead of stdout")
     run_p.add_argument("--cap-dim", type=int, default=DEFAULT_DIM_CAP,
-                       help="span dimension cap")
+                       help="span dimension cap; also caps monoid_growth ball sizes")
     run_p.add_argument("--cap-group", type=int, default=DEFAULT_GROUP_CAP,
                        help="group closure cap")
     run_p.add_argument("--no-timings", action="store_true",

@@ -16,7 +16,7 @@ The group G acts by (a mu)^g = g(a) (g mu g^{-1}); orbit sums over cosets of
 the stabilizer build G-invariant elements.
 """
 
-from .arith import RatFunc, Polynomial
+from .arith import RatFunc, Polynomial, _accumulate
 from .errors import (
     ContextMismatchError,
     InvarianceError,
@@ -94,7 +94,8 @@ class SkewElement:
     def __add__(self, other):
         other = self._coerce(other)
         self._check(other)
-        return _collect(self.context, other.coeffs.items(), dict(self.coeffs))
+        out = _accumulate(dict(self.coeffs), other.coeffs.items())
+        return SkewElement._raw(self.context, out)
 
     def __radd__(self, other):
         return self + other
@@ -119,11 +120,11 @@ class SkewElement:
         other = self._coerce(other)
         self._check(other)
         ctx = self.context
-        return _collect(ctx, (
+        return SkewElement._raw(ctx, _accumulate({}, (
             (ctx.key_compose(mu, nu), a * ctx.act_key(mu, b))
             for mu, a in self.coeffs.items()
             for nu, b in other.coeffs.items()
-        ))
+        )))
 
     def __rmul__(self, other):
         return self._coerce(other) * self
@@ -182,19 +183,6 @@ class SkewElement:
         return f"SkewElement<{self.to_text()}>"
 
 
-def _collect(ctx, terms, out=None):
-    """The element sum of ``(key, coefficient)`` terms, added onto ``out``.
-
-    Each key's coefficients are added in arrival order; keys whose sum is
-    zero are dropped once, at the end.
-    """
-    out = {} if out is None else out
-    for key, c in terms:
-        s = out.get(key)
-        out[key] = c if s is None else s + c
-    return SkewElement._raw(ctx, {k: v for k, v in out.items() if not v.is_zero()})
-
-
 def commutator(u, v):
     return u * v - v * u
 
@@ -207,7 +195,9 @@ def commutator(u, v):
 def g_action(g, u):
     """(a mu)^g = g(a) (g.mu) for a PermutationAut g; an algebra automorphism."""
     ctx = u.context
-    return _collect(ctx, ((ctx.conjugate_key(g, key), g.apply(a)) for key, a in u.coeffs.items()))
+    return SkewElement._raw(ctx, _accumulate(
+        {}, ((ctx.conjugate_key(g, key), g.apply(a)) for key, a in u.coeffs.items())
+    ))
 
 
 def orbit_sum(a, mu):

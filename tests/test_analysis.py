@@ -620,3 +620,9 @@ class TestMonoidGrowth:
 
     def test_n1_monoid(self):
         assert monoid_growth([(1,)], 8) == list(range(2, 10))
+
+    def test_ball_above_the_dimension_cap_raises(self):
+        # |B_k| = 2k^2 + 2k + 1 crosses 100 at k = 7
+        with pytest.raises(ResourceCapError, match="ball size 113 exceeded the cap 100") as info:
+            monoid_growth([(1, 0), (-1, 0), (0, 1), (0, -1)], 400, dim_cap=100)
+        assert info.value.partial == [5, 13, 25, 41, 61, 85, 113]

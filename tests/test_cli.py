@@ -119,6 +119,17 @@ class TestSuites:
         with pytest.raises(ScenarioError, match="nilhecke"):
             run_scenario(scenario)
 
+    def test_default_gl_table_needs_a_gt_algebra(self, tmp_path, capsys):
+        scenario = {"algebra": {"kind": "gwa", "preset": "witten-woronowicz"},
+                    "jobs": [{"op": "verify_gwa"}, {"op": "verify_relations"}]}
+        message = "verify_relations: the default gl table needs a gt algebra block"
+        with pytest.raises(ScenarioError, match=message):
+            run_scenario(scenario)
+        path = tmp_path / "gl-on-gwa.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["run", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_every_element_form_in_one_job(self):
         # a generator name, {"gen": ...}, a commutator and a terms literal
         scenario = {
@@ -218,6 +229,15 @@ class TestExitCodes:
         path.write_text(json.dumps(scenario))
         assert main(["run", str(path), "--cap-dim", "10"]) == 3
         capsys.readouterr()
+
+    def test_cap_dim_bounds_the_ball_size(self, tmp_path, capsys):
+        balls = {"op": "monoid_growth", "generators": [[1, 0], [-1, 0], [0, 1], [0, -1]],
+                 "k_max": 400}
+        scenario = {"algebra": {"kind": "shift_algebra", "n": 2, "m": 2}, "jobs": [balls]}
+        path = tmp_path / "balls.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["run", str(path), "--cap-dim", "100"]) == 3
+        assert "ball size 113 exceeded the cap 100" in capsys.readouterr().err
 
 
 class TestJobValidation:

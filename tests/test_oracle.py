@@ -18,6 +18,7 @@ from skewmon.analysis import smith_normal_form  # noqa: E402
 from skewmon.arith import (  # noqa: E402
     Polynomial,
     RatFunc,
+    _pseudo_rem,
     pole_order,
     poly_gcd,
     residue_along,
@@ -104,6 +105,38 @@ def test_poly_gcd():
         want = from_sympy(sympy.gcd(to_sympy(p), to_sympy(q))).monic()
         if poly_gcd(p, q) != want:
             mismatches.append((to_sympy(p), to_sympy(q)))
+    assert not mismatches, f"{len(mismatches)} of {CASES} disagree, e.g. {mismatches[:3]}"
+
+
+def test_divide_exact():
+    rng = random.Random(61)
+    mismatches = []
+    for i in range(CASES):
+        d = rand_poly(rng)
+        # every other dividend is a planted multiple of the divisor
+        p = rand_poly(rng) * d if i % 2 else rand_poly(rng, max_deg=3, nterms=4)
+        quo, rem = sympy.div(to_sympy(p), to_sympy(d), *SYMS, domain=sympy.QQ)
+        want = from_sympy(quo) if rem == 0 else None
+        if p.divide_exact(d) != want:
+            mismatches.append((to_sympy(p), to_sympy(d)))
+    assert not mismatches, f"{len(mismatches)} of {CASES} disagree, e.g. {mismatches[:3]}"
+
+
+def test_pseudo_remainder():
+    rng = random.Random(67)
+    mismatches = []
+    compared = 0
+    while compared < CASES:
+        a, b = rand_poly(rng, max_deg=3, nterms=4), rand_poly(rng)
+        v = rng.randrange(NV)
+        if not 1 <= b.degree_in(v) <= a.degree_in(v):
+            continue
+        compared += 1
+        # sympy takes the first generator as the main variable
+        gens = (SYMS[v],) + SYMS[:v] + SYMS[v + 1:]
+        want = sympy.prem(to_sympy(a), to_sympy(b), *gens)
+        if _pseudo_rem(a, b, v) != from_sympy(want):
+            mismatches.append((to_sympy(a), to_sympy(b), SYMS[v]))
     assert not mismatches, f"{len(mismatches)} of {CASES} disagree, e.g. {mismatches[:3]}"
 
 

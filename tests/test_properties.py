@@ -1,10 +1,13 @@
-"""Hypothesis properties of the canonical RatFunc form.
+"""Hypothesis properties of the canonical RatFunc form and of the sparse sums.
 
 Every operation must return a coprime numerator/denominator pair whose
 denominator is grlex-monic, and exactly 1 when it is constant.  A scaling
-automorphism must also agree with plain substitution.
+automorphism must also agree with plain substitution.  Operations that
+accumulate terms in place must leave their operands unchanged.
 """
 
+import copy
+import operator
 from itertools import permutations
 
 import pytest
@@ -18,7 +21,10 @@ from skewmon.actions import (  # noqa: E402
     ScalingAut,
     VariableTable,
 )
+from skewmon.analysis import _SpanReducer  # noqa: E402
 from skewmon.arith import Polynomial, RatFunc, poly_gcd, substitute  # noqa: E402
+from skewmon.constructors import build_shift_algebra  # noqa: E402
+from skewmon.skewring import SkewElement, g_action  # noqa: E402
 
 NV = 3
 ONE = Polynomial.const(NV, 1)
@@ -44,6 +50,16 @@ scalings = st.builds(
     nonzero_coeffs, nonzero_coeffs, st.integers(-2, 2), st.integers(-2, 2),
 )
 perm_auts = st.permutations(range(NV)).map(lambda p: PermutationAut(PERM_TABLE, p))
+# shifts on x1, x2 and the swap of x1 and x2, over the same NV variables
+SKEW_CTX = build_shift_algebra(NV, 2, group_generators=[(1, 0, 2)])
+skews = st.dictionaries(
+    st.tuples(st.integers(-1, 1), st.integers(-1, 1)), ratfuncs, max_size=3
+).map(lambda coeffs: SkewElement(SKEW_CTX, coeffs))
+linear = st.builds(lambda a, b: Polynomial(NV, {(1, 0, 0): a, (0, 0, 0): b}), coeffs, coeffs)
+entries = st.builds(RatFunc, linear, linear.filter(lambda p: not p.is_zero())).filter(
+    lambda r: not r.is_zero()
+)
+vectors = st.dictionaries(st.integers(0, 3), entries, min_size=1, max_size=3)
 
 fast = settings(max_examples=60, deadline=None)
 
@@ -109,3 +125,50 @@ def test_general_aut_accepts_every_permutation(perm):
     g = GeneralAut(PERM_TABLE, images, inverse_images)
     f = (v("x") ** 2 + v("y")) / (v("x") - v("z").scale(2) + v("y") * v("z"))
     assert g.apply(f) == PermutationAut(PERM_TABLE, perm).apply(f)
+
+
+def _state(x):
+    return x.terms if isinstance(x, Polynomial) else x.coeffs
+
+
+def assert_operands_unchanged(op, *operands):
+    before = [copy.deepcopy(_state(x)) for x in operands]
+    op(*operands)
+    assert [_state(x) for x in operands] == before
+
+
+@fast
+@given(polys, polys, nonzero_polys)
+def test_polynomial_operations_leave_operands_unchanged(p, q, d):
+    for op in (operator.add, operator.sub, operator.mul, poly_gcd):
+        assert_operands_unchanged(op, p, q)
+    assert_operands_unchanged(Polynomial.divide_exact, p, d)
+    assert_operands_unchanged(Polynomial.divide_exact, p * d, d)
+
+
+@fast
+@given(skews, skews)
+def test_skew_operations_leave_operands_unchanged(u, v):
+    assert_operands_unchanged(operator.add, u, v)
+    assert_operands_unchanged(operator.mul, u, v)
+    (swap,) = SKEW_CTX.group.generator_elements()
+    assert_operands_unchanged(lambda x: g_action(swap, x), u)
+
+
+@fast
+@given(st.lists(vectors, max_size=3), vectors)
+def test_reducer_add_leaves_its_input_and_untouched_rows_unchanged(stored, vec):
+    reducer = _SpanReducer()
+    for row in stored:
+        reducer.add(row)
+    rows = {c: (row, copy.deepcopy(row)) for c, row in reducer.pivot_rows.items()}
+    vec_before = copy.deepcopy(vec)
+    accepted = reducer.add(vec)
+    assert vec == vec_before
+    new = set(reducer.pivot_rows) - set(rows)
+    assert len(new) == accepted
+    for c, (row, before) in rows.items():
+        if not new & set(before):
+            assert reducer.pivot_rows[c] is row and row == before
+    for c in new:
+        assert reducer.pivot_rows[c] is not vec

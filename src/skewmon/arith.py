@@ -20,9 +20,10 @@ canonical in that sense.
 
 GCD is computed exactly by content/primitive-part recursion with the
 subresultant pseudo-remainder sequence (Collins 1967; Brown 1971) in a chosen
-main variable, whose exact divisions keep coefficient growth polynomial, and
-monic Euclid at the univariate base.  No modular or heuristic shortcuts are
-used.
+main variable v, on views ``{degree in v: coefficient}`` of the operands.  Its
+exact divisions keep coefficient growth polynomial.  One pseudo-remainder also
+serves the univariate base, which stays monic Euclid over the rationals.  No
+modular or heuristic shortcuts are used.
 """
 
 import math
@@ -115,6 +116,9 @@ class Polynomial:
 
     def is_zero(self):
         return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
 
     def is_constant(self):
         return not self.terms or (len(self.terms) == 1 and not any(next(iter(self.terms))))
@@ -378,99 +382,100 @@ def _gcd_primitive_parts(p, q):
         return Polynomial.const(p.nvars, 1)
     # main variable: smallest combined degree keeps the remainder sequence short
     v = min(both, key=lambda i: (p.degree_in(i) + q.degree_in(i), i))
+    a, b = (p, q) if p.degree_in(v) >= q.degree_in(v) else (q, p)
 
-    if pv == {v} and qv == {v}:
-        return _gcd_univariate(p, q, v)
+    if pv == qv == {v}:
+        # monic Euclid over the rationals: by a monic divisor the
+        # pseudo-remainder is the plain remainder
+        a, b = ({e[v]: c for e, c in x.terms.items()} for x in (a, b))
+        while b:
+            lcb = b[max(b)]
+            b = {d: c / lcb for d, c in b.items()}
+            a, b = b, _pseudo_rem(a, b)
+        pad = (0,) * (p.nvars - v - 1)
+        return Polynomial._raw(p.nvars, {(0,) * v + (d,) + pad: c for d, c in a.items()})
 
-    cp, pp = _content_and_primitive(p, v)
-    cq, qp = _content_and_primitive(q, v)
-    c = poly_gcd(cp, cq)
-
-    # both primitive parts have positive degree in v, and so has every b below
-    a, b = (pp, qp) if p.degree_in(v) >= q.degree_in(v) else (qp, pp)
+    # the subresultant sequence, on views {degree in v: coefficient}
+    ca, a = _content_and_primitive(a.coeffs_in(v))
+    cb, b = _content_and_primitive(b.coeffs_in(v))
+    c = poly_gcd(ca, cb)
+    first = b
     g = h = Polynomial.const(p.nvars, 1)
     while True:
-        delta = a.degree_in(v) - b.degree_in(v)
-        r = _pseudo_rem(a, b, v)
-        if r.is_zero():
-            # the first b is one of the primitive parts already
-            return c * (b if b is pp or b is qp else _content_and_primitive(b, v)[1])
-        if r.degree_in(v) == 0:
+        delta = max(a) - max(b)
+        r = _pseudo_rem(a, b)
+        if not r:
+            # the first b is a primitive part already
+            b = b if b is first else _content_and_primitive(b)[1]
+            out = {e[:v] + (d,) + e[v + 1 :]: k for d, x in b.items() for e, k in x.terms.items()}
+            return c * Polynomial._raw(p.nvars, out)
+        if max(r) == 0:
             return c
-        a, b = b, r.divide_exact(g * h**delta)
-        g = a.coeffs_in(v)[a.degree_in(v)]
+        divisor = g * h**delta
+        a, b = b, {d: x.divide_exact(divisor) for d, x in r.items()}
+        g = a[max(a)]
         if delta:
             h = (g**delta).divide_exact(h ** (delta - 1))
 
 
-def _gcd_univariate(p, q, v):
-    # monic Euclid over the rationals
-    a, b = p, q
-    while not b.is_zero():
-        a, b = b, _uni_rem(a, b, v)
-    return a.monic()
-
-
-def _uni_rem(a, b, v):
-    db = b.degree_in(v)
-    lcb = b.terms[max(b.terms, key=lambda e: e[v])]
-    r = dict(a.terms)
-    shift = [0] * a.nvars
-    while r:
-        e = max(r, key=lambda t: t[v])
-        if e[v] < db:
-            break
-        shift[v] = e[v] - db
-        _accumulate(r, b.terms.items(), coeff=-(r[e] / lcb), shift=shift)
-    return Polynomial._raw(a.nvars, r)
-
-
-def _content_and_primitive(p, v):
-    by_deg = p.coeffs_in(v)
-    coeffs = list(by_deg.values())
-    content = coeffs[0]
-    for c in coeffs[1:]:
-        content = poly_gcd(content, c)
+def _content_and_primitive(view):
+    """Content (canonical, free of the main variable) and primitive part of a view."""
+    coeffs = iter(view.values())
+    content = next(coeffs)
+    for c in coeffs:
         if content.is_constant():
-            content = Polynomial.const(p.nvars, 1)
             break
-    else:
-        content = content.monic()
-    if content.is_constant() and content.constant_value() == 1:
-        return content, p
-    # divide degree-by-degree: cheaper than a full multivariate reduction
-    out = {}
-    for d, c in by_deg.items():
-        q = c.divide_exact(content)
-        for e, k in q.terms.items():
-            out[e[:v] + (d,) + e[v + 1 :]] = k
-    return content, Polynomial._raw(p.nvars, out)
+        content = poly_gcd(content, c)
+    content = content.monic()
+    if content.is_constant():
+        return content, view
+    return content, {d: c.divide_exact(content) for d, c in view.items()}
 
 
-def _pseudo_rem(a, b, v):
-    """The exact pseudo-remainder lc_v(b)^(deg_v(a) - deg_v(b) + 1) * a mod b."""
-    db = b.degree_in(v)
-    lcb = b.coeffs_in(v)[db]
-    missing = a.degree_in(v) - db + 1  # factors of lc(b) still owed
-    r = a
-    shift = [0] * a.nvars
-    while not r.is_zero():
-        dr = r.degree_in(v)
+def _pseudo_rem(a, b):
+    """The view of lc(b)^(deg a - deg b + 1) * a mod b for views ``{degree:
+    coefficient}`` with deg a >= deg b, whose coefficients are rationals or
+    polynomials free of the main variable; the plain remainder when lc(b) = 1."""
+    db = max(b)
+    lcb = b[db]
+    lower = [(d, c) for d, c in b.items() if d != db]
+    missing = max(a) - db + 1  # factors of lc(b) still owed
+    r = dict(a)
+    while r:
+        dr = max(r)
         if dr < db:
             break
-        lcr = r.coeffs_in(v)[dr]
-        shift[v] = dr - db
-        r = lcb * r  # a new polynomial, so its terms may be updated in place
-        _accumulate(r.terms, (b * lcr).terms.items(), coeff=-1, shift=shift)
+        lcr = r.pop(dr)
+        if lcb != 1:  # true for every polynomial coefficient
+            r = {d: c * lcb for d, c in r.items()}
+        _accumulate(r, [(d + dr - db, c) for d, c in lower], coeff=-lcr)
         missing -= 1
-    return lcb**missing * r if missing and not r.is_zero() else r
+    if missing and r and lcb != 1:
+        lcb = lcb**missing
+        r = {d: c * lcb for d, c in r.items()}
+    return r
+
+
+def _cancel(p, q):
+    """``(g, p/g, q/g)`` for g = poly_gcd(p, q); p and q themselves when g is constant."""
+    g = poly_gcd(p, q)
+    if g.is_constant():
+        return g, p, q
+    return g, p.divide_exact(g), q.divide_exact(g)
+
+
+def _strip(p, f):
+    """``(k, p/f^k)`` for the largest k with f^k dividing p; f must not be constant."""
+    k, q = 0, p.divide_exact(f)
+    while q is not None:
+        k, p, q = k + 1, q, q.divide_exact(f)
+    return k, p
 
 
 def poly_lcm(p, q):
     if p.is_zero() or q.is_zero():
         return Polynomial.zero(p.nvars)
-    g = poly_gcd(p, q)
-    return (p * q.divide_exact(g)).monic()
+    return (p * _cancel(p, q)[2]).monic()
 
 
 # ---------------------------------------------------------------------------
@@ -500,10 +505,7 @@ class RatFunc:
             self.den = Polynomial.const(num.nvars, 1)
             return
         if not den.is_constant():
-            g = poly_gcd(num, den)
-            if not g.is_constant():
-                num = num.divide_exact(g)
-                den = den.divide_exact(g)
+            _, num, den = _cancel(num, den)
         self.num, self.den = _monic_den(num, den)
 
     @classmethod
@@ -553,25 +555,13 @@ class RatFunc:
         b, d = self.den, other.den
         if b.is_constant() and d.is_constant():
             return RatFunc.from_poly(self.num + other.num)
-        g = poly_gcd(b, d)
-        if g.is_constant():
-            num = self.num * d + other.num * b
-            den = b * d
-            if num.is_zero():
-                return RatFunc.zero(self.nvars)
-            # b, d coprime and coprime to their numerators: already reduced
-            return RatFunc._raw(num, den)
-        b1 = b.divide_exact(g)
-        d1 = d.divide_exact(g)
+        g, b1, d1 = _cancel(b, d)
         num = self.num * d1 + other.num * b1
         if num.is_zero():
             return RatFunc.zero(self.nvars)
-        # any common factor of num and b*d1 divides g; quotients of monic
-        # by monic stay monic, so _raw is safe on both branches
-        h = poly_gcd(num, g)
-        if h.is_constant():
-            return RatFunc._raw(num, b * d1)
-        return RatFunc._raw(num.divide_exact(h), (b * d1).divide_exact(h))
+        # a common factor of num and b1*d1*g divides g; monic quotients keep _raw safe
+        _, num, g = _cancel(num, g)
+        return RatFunc._raw(num, b1 * d1 * g)
 
     def __neg__(self):
         return RatFunc._raw(-self.num, self.den)
@@ -585,16 +575,8 @@ class RatFunc:
         self._check(other)
         if self.num.is_zero() or other.num.is_zero():
             return RatFunc.zero(self.nvars)
-        a, b = self.num, self.den
-        c, d = other.num, other.den
-        g1 = poly_gcd(a, d)
-        if not g1.is_constant():
-            a = a.divide_exact(g1)
-            d = d.divide_exact(g1)
-        g2 = poly_gcd(c, b)
-        if not g2.is_constant():
-            c = c.divide_exact(g2)
-            b = b.divide_exact(g2)
+        _, a, d = _cancel(self.num, other.den)
+        _, c, b = _cancel(other.num, self.den)
         return RatFunc._raw(*_monic_den(a * c, b * d))
 
     def invert(self):
@@ -721,16 +703,8 @@ def _hyperplane_pivot(h, c):
 
 def pole_order(r, h, c):
     """Order of the pole of r along the hyperplane h = c (0 when regular)."""
-    divisor = (h - Polynomial.const(h.nvars, c)).monic()
     _hyperplane_pivot(h, c)
-    order = 0
-    den = r.den
-    while True:
-        q = den.divide_exact(divisor)
-        if q is None:
-            return order
-        order += 1
-        den = q
+    return _strip(r.den, (h - Polynomial.const(h.nvars, c)).monic())[0]
 
 
 def restrict_to_hyperplane(r, h, c):

@@ -263,33 +263,38 @@ INT_PARAMS = {"count": 1, "seed": None, "degree": 2, "degree_bound": 0, "k_max":
 EXPECTATIONS = ("rank", "dimension", "zero", "value", "divisors", "dims", "sizes", "basis")
 
 
+def _job_prefix(index, job):
+    """How an error names a job: ``job N 'name' (op)``."""
+    return f"job {index} {job.get('name', job.get('op'))!r} ({job.get('op')})"
+
+
 def _validate_job(index, job):
     """Check one job against JOBS, INT_PARAMS and the expectation keys; raise
     ScenarioError naming the job and the parameter."""
     if not isinstance(job, dict):
         raise ScenarioError(f"job {index} must be a JSON object")
     op = job.get("op")
-    where = f"job {index} {job.get('name', op)!r}"
+    where = _job_prefix(index, job)
     if op not in JOBS:
-        raise ScenarioError(f"{where}: unknown operation {op!r}")
+        raise ScenarioError(f"{where}: unknown operation")
     for param in JOBS[op][1]:
         if param not in job:
-            raise ScenarioError(f"{where} ({op}): missing parameter {param!r}")
+            raise ScenarioError(f"{where}: missing parameter {param!r}")
     for param, low in INT_PARAMS.items():
         if param not in job:
             continue
         value = job[param]
         if type(value) is not int or (low is not None and value < low):
             wanted = "an integer" if low is None else f"an integer >= {low}"
-            raise ScenarioError(f"{where} ({op}): {param} must be {wanted}, got {value!r}")
+            raise ScenarioError(f"{where}: {param} must be {wanted}, got {value!r}")
     expect = job.get("expect", "pass")
     if expect == "pass":
         return
     if not isinstance(expect, dict):
-        raise ScenarioError(f"{where} ({op}): bad expectation {expect!r}")
+        raise ScenarioError(f"{where}: bad expectation {expect!r}")
     for key in sorted(expect):
         if key not in ("slope_interval",) + EXPECTATIONS:
-            raise ScenarioError(f"{where} ({op}): unknown expectation key {key!r}")
+            raise ScenarioError(f"{where}: unknown expectation key {key!r}")
 
 
 def _apply_expectation(report, values, expect):
@@ -324,9 +329,13 @@ def run_scenario(scenario, cap_dim=DEFAULT_DIM_CAP, cap_group=DEFAULT_GROUP_CAP)
         _validate_job(index, job)
     rt = _Runtime(scenario, cap_dim, cap_group)
 
-    def run_one(job):
+    def run_one(index, job):
         t0 = time.perf_counter()
-        report, values = JOBS[job["op"]][0](rt, job)
+        try:
+            report, values = JOBS[job["op"]][0](rt, job)
+        except SkewmonError as exc:  # the same exception keeps a cap's partial result
+            exc.args = (f"{_job_prefix(index, job)}: {exc}",)
+            raise
         _apply_expectation(report, values, job.get("expect", "pass"))
         return {
             "name": job.get("name", job["op"]),
@@ -338,7 +347,7 @@ def run_scenario(scenario, cap_dim=DEFAULT_DIM_CAP, cap_group=DEFAULT_GROUP_CAP)
         }
 
     t_start = time.perf_counter()
-    results = [run_one(job) for job in job_list]
+    results = [run_one(index, job) for index, job in enumerate(job_list, start=1)]
     return {
         "engine": {"name": "skewmon", "version": __version__},
         "title": scenario.get("title", ""),

@@ -18,6 +18,7 @@ from .arith import (
     QQ,
     Polynomial,
     RatFunc,
+    _strip,
     pole_order,
     poly_to_text,
     ratfunc_to_text,
@@ -425,12 +426,7 @@ def hecke_membership_check(element, mode="degenerate", vanishing_value=None):
     def leftover_denominator(w):
         den = element.coeffs[w].den
         for h in hyperplanes:
-            hm = h.monic()
-            while True:
-                q = den.divide_exact(hm)
-                if q is None:
-                    break
-                den = q
+            den = _strip(den, h.monic())[1]
         return None if den.is_constant() else f"leftover denominator {poly_to_text(den, names)}"
 
     for w in support:

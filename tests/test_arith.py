@@ -92,6 +92,11 @@ class TestPolynomialOps:
         assert (X + Y) ** 3 == (X + Y) * (X + Y) * (X + Y)
         assert (X + Y) ** 0 == ONE
 
+    def test_truth_value_is_false_exactly_for_zero(self):
+        assert not Polynomial.zero(2) and not X - X
+        assert ONE and X and Polynomial.const(2, QQ(-1, 2))
+        assert not rf(X - X, Y) and rf(X, Y)
+
 
 class TestPolyGcd:
     def test_factor_example(self):

@@ -301,6 +301,34 @@ class TestJobValidation:
             run_scenario(scenario)
         assert calls == []
 
+    @pytest.mark.parametrize("algebra, first, second, error, message", [
+        ({"kind": "gwa", "preset": "witten-woronowicz"}, {"op": "verify_gwa"},
+         {"op": "verify_relations"}, ScenarioError,
+         "verify_relations: the default gl table needs a gt algebra block"),
+        ({"kind": "gt", "n": 2},
+         {"op": "growth_profile", "frame": [{"const": "1"}, "E12"], "k_max": 2},
+         {"op": "growth_profile", "frame": [{"const": "1"}, "E13"], "k_max": 2},
+         DefinitionError,
+         "unknown generator 'E13'"),
+    ], ids=["default-gl-table", "unknown-generator"])
+    def test_error_raised_inside_a_job_names_the_job(self, tmp_path, capsys, algebra, first,
+                                                      second, error, message):
+        second = dict(second, name="second")
+        scenario = {"algebra": algebra, "jobs": [first, second]}
+        prefix = f"job 2 'second' ({second['op']}): "
+        with pytest.raises(error) as caught:
+            run_scenario(scenario)
+        assert str(caught.value) == prefix + message
+        err = self._rejected(tmp_path, capsys, [first, second], algebra=algebra)
+        assert err == f"error: invalid scenario: {prefix}{message}\n"
+
+    def test_cap_error_inside_a_job_names_the_job_and_keeps_its_partial_result(self):
+        scenario = json.loads(load_scenario_text("growth-weyl"))
+        with pytest.raises(ResourceCapError, match="^job 1 'frame span dimensions' "
+                                                   "\\(growth_profile\\): ") as caught:
+            run_scenario(scenario, cap_dim=10)
+        assert caught.value.partial.dims == [3, 6, 10, 15]
+
 
 class TestExpectations:
     def test_missing_list_value_fails_its_job_only(self, tmp_path, capsys):

@@ -135,8 +135,54 @@ def test_pseudo_remainder():
         # sympy takes the first generator as the main variable
         gens = (SYMS[v],) + SYMS[:v] + SYMS[v + 1:]
         want = sympy.prem(to_sympy(a), to_sympy(b), *gens)
-        if _pseudo_rem(a, b, v) != from_sympy(want):
+        if _pseudo_rem(a.coeffs_in(v), b.coeffs_in(v)) != from_sympy(want).coeffs_in(v):
             mismatches.append((to_sympy(a), to_sympy(b), SYMS[v]))
+    assert not mismatches, f"{len(mismatches)} of {CASES} disagree, e.g. {mismatches[:3]}"
+
+
+def rand_univariate(rng, v, low=0, high=4):
+    """A polynomial in x_v alone of degree in [low, high], with rational
+    coefficients and gaps: a missing degree lets a remainder step drop the
+    degree by more than one."""
+    while True:
+        degrees = rng.sample(range(high + 1), rng.randint(1, high + 1))
+        p = Polynomial(NV, {
+            tuple(d if i == v else 0 for i in range(NV)):
+                Fraction(rng.choice([-6, -3, -2, -1, 1, 2, 3, 6]), rng.choice([1, 1, 2, 3]))
+            for d in degrees
+        })
+        if low <= p.degree_in(v):
+            return p
+
+
+def test_pseudo_remainder_of_rational_views():
+    rng = random.Random(71)
+    mismatches = []
+    for i in range(CASES):
+        a = rand_univariate(rng, 0, 1, 5)
+        b = rand_univariate(rng, 0, 1, a.degree_in(0))
+        if i % 2:
+            b = b.monic()  # by a monic divisor the pseudo-remainder is the remainder
+        view = lambda p: {e[0]: c for e, c in p.terms.items()}  # noqa: E731
+        want = sympy.prem(to_sympy(a), to_sympy(b), SYMS[0])
+        if _pseudo_rem(view(a), view(b)) != view(from_sympy(want)):
+            mismatches.append((to_sympy(a), to_sympy(b)))
+    assert not mismatches, f"{len(mismatches)} of {CASES} disagree, e.g. {mismatches[:3]}"
+
+
+def test_poly_gcd_of_univariate_pairs():
+    # both cofactors and the planted factor lie in one variable, so poly_gcd
+    # takes its univariate (monic Euclid) branch
+    rng = random.Random(73)
+    mismatches = []
+    for _ in range(CASES):
+        v = rng.randrange(NV)
+        h = rand_univariate(rng, v, 1, 2)
+        p = rand_univariate(rng, v, 0, 3) * h
+        q = rand_univariate(rng, v, 0, 3) * h
+        want = from_sympy(sympy.gcd(to_sympy(p), to_sympy(q))).monic()
+        if poly_gcd(p, q) != want:
+            mismatches.append((to_sympy(p), to_sympy(q)))
     assert not mismatches, f"{len(mismatches)} of {CASES} disagree, e.g. {mismatches[:3]}"
 
 

@@ -1,9 +1,10 @@
 """Hypothesis properties of the canonical RatFunc form and of the sparse sums.
 
 Every operation must return a coprime numerator/denominator pair whose
-denominator is grlex-monic, and exactly 1 when it is constant.  A scaling
-automorphism must also agree with plain substitution.  Operations that
-accumulate terms in place must leave their operands unchanged.
+denominator is grlex-monic, and exactly 1 when it is constant.  Sums,
+differences and products must equal the quotient of the unreduced pair.  A
+scaling automorphism must also agree with plain substitution.  Operations
+that accumulate terms in place must leave their operands unchanged.
 """
 
 import copy
@@ -64,6 +65,29 @@ vectors = st.dictionaries(st.integers(0, 3), entries, min_size=1, max_size=3)
 fast = settings(max_examples=60, deadline=None)
 
 
+def _planted(kind, a, b, c, d, h):
+    """Two unreduced (numerator, denominator) pairs; kinds 1-3 plant the
+    non-constant factor h where RatFunc arithmetic must cancel it."""
+    return [
+        ((a, b), (c, d)),
+        ((a, h * b), (c, h * d)),  # shared by both denominators
+        ((h * a, b), (c, h * d)),  # between a numerator and the other denominator
+        ((a, h * b), (h * c - a, h * b)),  # the sum cancels against it
+    ][kind]
+
+
+# exponents up to 1: the reference quotient carries h twice, and its single
+# gcd on products of the full-size draws takes tens of seconds
+small_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 1)] * NV), coeffs, max_size=3
+).map(lambda terms: Polynomial(NV, terms))
+small_nonzero = small_polys.filter(lambda p: not p.is_zero())
+unreduced_pairs = st.builds(
+    _planted, st.integers(0, 3), small_polys, small_nonzero, small_polys, small_nonzero,
+    small_nonzero.filter(lambda p: not p.is_constant()),
+)
+
+
 def assert_canonical(r):
     if r.den.is_constant():
         assert r.den == ONE
@@ -83,6 +107,16 @@ def test_common_factor_cancels(num, den, h):
 def test_sum_and_product_are_canonical(r, s):
     assert_canonical(r + s)
     assert_canonical(r * s)
+
+
+@fast
+@given(unreduced_pairs)
+def test_sum_difference_and_product_equal_the_unreduced_quotients(pairs):
+    (a, b), (c, d) = pairs
+    r, s = RatFunc(a, b), RatFunc(c, d)
+    assert r + s == RatFunc(a * d + c * b, b * d)
+    assert r - s == RatFunc(a * d - c * b, b * d)
+    assert r * s == RatFunc(a * c, b * d)
 
 
 @fast

@@ -191,7 +191,7 @@ class ScalingAut(Automorphism):
                 for i, d in enumerate(e):
                     if d:
                         if self.coeffs[i] != 1:
-                            c = c * self.coeffs[i] ** d
+                            c = QQ(c * self.coeffs[i] ** d)
                         for j, x in enumerate(self.exps[i]):
                             if x:
                                 ne[j] += x * d
@@ -209,14 +209,14 @@ class ScalingAut(Automorphism):
     def inverse(self):
         return ScalingAut(
             self.table,
-            tuple(1 / c for c in self.coeffs),
+            tuple(QQ(1, c) for c in self.coeffs),
             tuple(tuple(-x for x in e) for e in self.exps),
         )
 
     def power(self, k):
         return ScalingAut(
             self.table,
-            tuple(c**k if c != 1 else c for c in self.coeffs),
+            tuple(c**k if k >= 0 else QQ(1, c**-k) for c in self.coeffs),
             tuple(tuple(x * k for x in e) for e in self.exps),
         )
 

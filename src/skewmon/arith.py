@@ -8,8 +8,11 @@ A polynomial in ``n`` variables is a dict mapping exponent tuples (length
 
     x0^2*x1 + 3/2   ->   {(2, 1): 1, (0, 0): 3/2}
 
-The zero polynomial is the empty dict.  Coefficients are exact rationals
-(``fractions.Fraction``); no floating point enters anywhere in this module.
+The zero polynomial is the empty dict.  Coefficients are exact rationals: a
+plain ``int`` when integral and a ``fractions.Fraction`` otherwise, so that
+the common integral case runs on native integer arithmetic.  Every
+coefficient division goes through ``QQ``, since ``int / int`` would be a
+float; no floating point enters anywhere in this module.
 
 Term order is graded lexicographic (grlex) over the variable order of the
 table: compare total degree first, then the exponent tuples lexicographically.
@@ -37,7 +40,21 @@ from .errors import (
     InvalidDivisorError,
 )
 
-QQ = Fraction
+
+def QQ(a, b=None):
+    """The exact rational ``a`` (or ``a / b``): an ``int`` when it is integral,
+    a ``Fraction`` otherwise.  ``a`` may also be a string such as ``"3/2"``."""
+    if b is None:
+        if type(a) is int:
+            return a
+        if type(a) is not Fraction:
+            a = Fraction(a)
+    elif type(a) is int and type(b) is int and not a % b:
+        return a // b
+    else:
+        a = Fraction(a, b)
+    return a.numerator if a.denominator == 1 else a
+
 
 #: Degree of the zero polynomial.  A sentinel for comparisons only; it never
 #: participates in coefficient arithmetic.
@@ -57,7 +74,8 @@ def _accumulate(out, terms, coeff=None, shift=None):
         s = out.get(key)
         c = c if s is None else s + c
         if c:
-            out[key] = c
+            # skew sums pass RatFunc coefficients through the same loop
+            out[key] = c.numerator if type(c) is Fraction and c.denominator == 1 else c
         else:
             out.pop(key, None)
     return out
@@ -125,11 +143,11 @@ class Polynomial:
 
     def constant_value(self):
         if not self.terms:
-            return QQ(0)
+            return Fraction(0)
         ((exps, coeff),) = self.terms.items()
         if any(exps):
             raise ValueError("polynomial is not constant")
-        return coeff
+        return Fraction(coeff)
 
     def total_degree(self):
         if not self.terms:
@@ -211,7 +229,7 @@ class Polynomial:
         c = QQ(c)
         if c == 0:
             return Polynomial.zero(self.nvars)
-        return Polynomial._raw(self.nvars, {e: k * c for e, k in self.terms.items()})
+        return Polynomial._raw(self.nvars, {e: QQ(k * c) for e, k in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -225,13 +243,13 @@ class Polynomial:
     def content(self):
         """Positive rational c such that self/c has coprime integer coefficients."""
         if not self.terms:
-            return QQ(0)
+            return Fraction(0)
         num_gcd = 0
         den_lcm = 1
         for c in self.terms.values():
             num_gcd = math.gcd(num_gcd, c.numerator)
             den_lcm = math.lcm(den_lcm, c.denominator)
-        return QQ(num_gcd, den_lcm)
+        return Fraction(num_gcd, den_lcm)
 
     def monic(self):
         """Scale so the grlex leading coefficient is 1 (canonical up to scalars)."""
@@ -240,8 +258,7 @@ class Polynomial:
         _, lc = self.leading_term()
         if lc == 1:
             return self
-        inv = 1 / lc
-        return Polynomial._raw(self.nvars, {e: c * inv for e, c in self.terms.items()})
+        return self.scale(QQ(1, lc))
 
     def monomial_content(self):
         """Exponent vector of the largest monomial dividing every term."""
@@ -263,7 +280,7 @@ class Polynomial:
             raise ZeroDivisionError("division by the zero polynomial")
         self._check(d)
         if d.is_constant():
-            return self.scale(1 / d.constant_value())
+            return self.scale(QQ(1, d.constant_value()))
         de, dc = d.leading_term()
         q = {}
         r = dict(self.terms)
@@ -272,7 +289,7 @@ class Polynomial:
             diff = tuple(a - b for a, b in zip(re, de))
             if any(x < 0 for x in diff):
                 return None
-            c = r[re] / dc
+            c = QQ(r[re], dc)
             q[diff] = c
             _accumulate(r, d.terms.items(), coeff=-c, shift=diff)
         return Polynomial._raw(self.nvars, q)
@@ -317,7 +334,7 @@ class Polynomial:
 
     def derivative(self, var):
         return Polynomial._raw(self.nvars, {
-            e[:var] + (e[var] - 1,) + e[var + 1 :]: c * e[var]
+            e[:var] + (e[var] - 1,) + e[var + 1 :]: QQ(c * e[var])
             for e, c in self.terms.items()
             if e[var]
         })
@@ -325,7 +342,7 @@ class Polynomial:
     def evaluate(self, point):
         if len(point) != self.nvars:
             raise ContextMismatchError("evaluation point has wrong length")
-        total = QQ(0)
+        total = Fraction(0)
         for e, c in self.terms.items():
             v = c
             for i, d in enumerate(e):
@@ -390,7 +407,7 @@ def _gcd_primitive_parts(p, q):
         a, b = ({e[v]: c for e, c in x.terms.items()} for x in (a, b))
         while b:
             lcb = b[max(b)]
-            b = {d: c / lcb for d, c in b.items()}
+            b = {d: QQ(c, lcb) for d, c in b.items()}
             a, b = b, _pseudo_rem(a, b)
         pad = (0,) * (p.nvars - v - 1)
         return Polynomial._raw(p.nvars, {(0,) * v + (d,) + pad: c for d, c in a.items()})
@@ -620,7 +637,7 @@ def _monic_den(num, den):
     lc = den.constant_value() if den.is_constant() else den.leading_term()[1]
     if lc == 1:
         return num, den
-    inv = 1 / lc
+    inv = QQ(1, lc)
     return num.scale(inv), den.scale(inv)
 
 
@@ -694,10 +711,10 @@ def _hyperplane_pivot(h, c):
             coeffs[e.index(1)] = k
     pivot = min(coeffs)
     a = coeffs[pivot]
-    image = Polynomial.const(h.nvars, (QQ(c) - const) / a)
+    image = Polynomial.const(h.nvars, QQ(QQ(c) - const, a))
     for i, k in coeffs.items():
         if i != pivot:
-            image = image + Polynomial.variable(h.nvars, i).scale(-k / a)
+            image = image + Polynomial.variable(h.nvars, i).scale(QQ(-k, a))
     return pivot, image
 
 
@@ -787,7 +804,7 @@ def poly_from_text(text, names):
             elif factor in index:
                 exps[index[factor]] += 1
             else:
-                coeff = coeff * QQ(Fraction(factor.replace(" ", "")))
+                coeff = coeff * QQ(factor.replace(" ", ""))
         _accumulate(terms, [(tuple(exps), coeff)])
     return Polynomial(nvars, terms)
 

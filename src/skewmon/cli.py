@@ -103,13 +103,13 @@ class _Runtime:
     def _automorphism(self, table, block):
         nv = table.nvars
         if block["kind"] == "shift":
-            offsets = [QQ(Fraction(str(c))) for c in block["offsets"]]
+            offsets = [QQ(str(c)) for c in block["offsets"]]
             offsets += [QQ(0)] * (nv - len(offsets))
             return ShiftAut(table, offsets)
         if block["kind"] == "scaling":
             coeffs, exps = [], []
             for m in block["multipliers"]:
-                coeffs.append(QQ(Fraction(str(m.get("coeff", "1")))))
+                coeffs.append(QQ(str(m.get("coeff", "1"))))
                 e = [0] * nv
                 for name, p in m.get("powers", {}).items():
                     e[table.index(name)] = int(p)
@@ -210,7 +210,7 @@ def _job_hecke_check(rt, job):
     report = hecke_membership_check(
         element,
         mode=job.get("mode", "degenerate"),
-        vanishing_value=QQ(Fraction(str(vanish))) if vanish is not None else None,
+        vanishing_value=QQ(str(vanish)) if vanish is not None else None,
     )
     return report, {}
 
@@ -269,8 +269,9 @@ def _job_prefix(index, job):
 
 
 def _validate_job(index, job):
-    """Check one job against JOBS, INT_PARAMS and the expectation keys; raise
-    ScenarioError naming the job and the parameter."""
+    """Check one job against JOBS, INT_PARAMS, the list parameters, the shape
+    of inline relations and the expectation keys; raise ScenarioError naming
+    the job and the parameter."""
     if not isinstance(job, dict):
         raise ScenarioError(f"job {index} must be a JSON object")
     op = job.get("op")
@@ -287,6 +288,17 @@ def _validate_job(index, job):
         if type(value) is not int or (low is not None and value < low):
             wanted = "an integer" if low is None else f"an integer >= {low}"
             raise ScenarioError(f"{where}: {param} must be {wanted}, got {value!r}")
+    for param in ("frame", "elements", "generators"):
+        if param in job and not isinstance(job[param], list):
+            raise ScenarioError(f"{where}: {param} must be a list, got {job[param]!r}")
+    relations = job.get("relations", "gl")
+    if relations != "gl" and not (
+        isinstance(relations, list)
+        and all(isinstance(r, dict) and "name" in r and "expr" in r for r in relations)
+    ):
+        raise ScenarioError(
+            f"{where}: relations must be \"gl\" or a list of objects with name and expr"
+        )
     expect = job.get("expect", "pass")
     if expect == "pass":
         return

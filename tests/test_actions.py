@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -148,6 +149,17 @@ class TestAutomorphisms:
         assert image == (h - one).invert().scale(-1)
         assert s.apply(image) == one / (h + one)
         assert image.den.leading_term()[1] == 1
+
+    def test_integer_scaling_inverse_and_negative_power_are_exact(self):
+        t = VariableTable(["h"])
+        g = ScalingAut(t, (2,), ((0,),))
+        assert g.inverse().coeffs == (Fraction(1, 2),)
+        assert g.power(-2).coeffs == (Fraction(1, 4),)
+        assert type(g.inverse().coeffs[0]) is type(g.power(-2).coeffs[0]) is Fraction
+        h, one = t.var("h"), t.poly("1")
+        r = (h * h + one) / (h.scale(3) - one)
+        assert g.inverse().apply(g.apply(r)) == r
+        assert g.power(-2).apply(g.power(2).apply(r)) == r
 
     def test_params_and_fixed_are_fixed(self):
         ctx = build_qshift_algebra(3, 2)

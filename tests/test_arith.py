@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -82,6 +83,22 @@ class TestPolynomialOps:
         assert p.content() == QQ(2)
         q = X.scale(QQ(1, 2)) + Y.scale(QQ(3, 4))
         assert q.content() == QQ(1, 4)
+
+    def test_qq_is_int_exactly_when_integral(self):
+        integral = [QQ(4, 2), QQ("6/3"), QQ(QQ(1, 2) * 4), QQ(7)]
+        assert integral == [2, 2, 2, 7] and all(type(v) is int for v in integral)
+        fractional = [QQ(3, 2), QQ("-3/2"), QQ(QQ(1, 2))]
+        assert fractional == [Fraction(3, 2), Fraction(-3, 2), Fraction(1, 2)]
+        assert all(type(v) is Fraction for v in fractional)
+
+    def test_value_methods_return_fractions(self):
+        p = X.scale(2) + ONE.scale(4)
+        zero = Polynomial.zero(2)
+        values = [p.content(), p.evaluate((1, 0)), ONE.scale(3).constant_value(),
+                  zero.constant_value(), zero.content(), zero.evaluate((1, 1))]
+        assert values == [2, 6, 3, 0, 0, 0]
+        assert all(type(v) is Fraction for v in values)
+        assert p.evaluate((1, 0)) / 4 == Fraction(3, 2)
 
     def test_divide_exact(self):
         p = (X + Y) * (X - Y) * (X + ONE)

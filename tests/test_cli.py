@@ -301,6 +301,22 @@ class TestJobValidation:
             run_scenario(scenario)
         assert calls == []
 
+    @pytest.mark.parametrize("job, message", [
+        ({"op": "growth_profile", "frame": 5, "k_max": 2}, "frame must be a list, got 5"),
+        ({"op": "standard_identity", "elements": "E12"}, "elements must be a list, got 'E12'"),
+        ({"op": "verify_relations", "relations": 7},
+         'relations must be "gl" or a list of objects with name and expr'),
+        ({"op": "verify_relations", "relations": [{"expr": {"gen": "E12"}}]},
+         'relations must be "gl" or a list of objects with name and expr'),
+    ], ids=["frame-not-a-list", "elements-not-a-list", "relations-not-a-list",
+            "relation-without-name"])
+    def test_element_shapes_are_checked_before_any_job_runs(self, tmp_path, capsys, job,
+                                                             message):
+        job = dict(job, name="shape")
+        err = self._rejected(tmp_path, capsys, [self.BALLS, job],
+                             algebra={"kind": "mystery"})
+        assert err == f"error: invalid scenario: job 2 'shape' ({job['op']}): {message}\n"
+
     @pytest.mark.parametrize("algebra, first, second, error, message", [
         ({"kind": "gwa", "preset": "witten-woronowicz"}, {"op": "verify_gwa"},
          {"op": "verify_relations"}, ScenarioError,

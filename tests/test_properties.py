@@ -4,11 +4,14 @@ Every operation must return a coprime numerator/denominator pair whose
 denominator is grlex-monic, and exactly 1 when it is constant.  Sums,
 differences and products must equal the quotient of the unreduced pair.  A
 scaling automorphism must also agree with plain substitution.  Operations
-that accumulate terms in place must leave their operands unchanged.
+that accumulate terms in place must leave their operands unchanged.  Every
+coefficient stays exact: a plain ``int`` when integral, a ``Fraction``
+otherwise, and never a float.
 """
 
 import copy
 import operator
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -24,6 +27,7 @@ from skewmon.actions import (  # noqa: E402
 )
 from skewmon.analysis import _SpanReducer  # noqa: E402
 from skewmon.arith import Polynomial, RatFunc, poly_gcd, substitute  # noqa: E402
+from skewmon.errors import DegenerateSubstitutionError  # noqa: E402
 from skewmon.constructors import build_shift_algebra  # noqa: E402
 from skewmon.skewring import SkewElement, g_action  # noqa: E402
 
@@ -206,3 +210,46 @@ def test_reducer_add_leaves_its_input_and_untouched_rows_unchanged(stored, vec):
             assert reducer.pivot_rows[c] is row and row == before
     for c in new:
         assert reducer.pivot_rows[c] is not vec
+
+
+def assert_exact(*values):
+    """No coefficient is a float, and every integral one is a plain int."""
+    for x in values:
+        for p in (x.num, x.den) if isinstance(x, RatFunc) else (x,):
+            for c in p.terms.values():
+                assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+
+
+@fast
+@given(polys, polys, nonzero_polys)
+def test_polynomial_coefficients_stay_exact(p, q, d):
+    pd, qd = p * d, q * d
+    sums = [p + q, p - q, pd]
+    exact, maybe = pd.divide_exact(d), p.divide_exact(d)
+    g = poly_gcd(pd, qd)
+    monics = [(x, x.monic()) for x in filter(None, (d, pd))]
+    # exactness first, so that a float shows up as itself, not as a broken identity
+    assert_exact(p, q, d, *sums, exact, g, *[m for _, m in monics], *filter(None, [maybe]))
+    assert sums[0] - q == p and sums[1] + q == p and exact == p
+    assert maybe is None or maybe * d == p
+    assert g.divide_exact(d.monic()) is not None
+    assert not g or pd.divide_exact(g) is not None and qd.divide_exact(g) is not None
+    for x, m in monics:
+        assert m.leading_term()[1] == 1
+        assert m.scale(x.leading_term()[1]) == x
+
+
+@fast
+@given(ratfuncs, nonzero_ratfuncs, entries, entries)
+def test_rational_function_coefficients_stay_exact(r, s, f, g):
+    total, product, inverse = r + s, r * s, s.invert()
+    images = {1: f, 2: g}
+    try:
+        mapped = [substitute(x, images) for x in (r, s, product)]
+    except DegenerateSubstitutionError:
+        mapped = []
+    # exactness first, so that a float shows up as itself, not as a broken identity
+    assert_exact(r, s, f, g, total, product, inverse, *mapped)
+    assert total - s == r and product * inverse == r and s * inverse == RatFunc(ONE)
+    if mapped:  # substitution is a ring homomorphism
+        assert mapped[0] * mapped[1] == mapped[2]

@@ -11,7 +11,7 @@ substitutions.  Supported groups are finite groups of variable permutations,
 enumerated eagerly at construction up to a hard cap.
 """
 
-from .arith import NEG_INF, QQ, Polynomial, RatFunc, _monic_den, substitute
+from .arith import NEG_INF, QQ, Polynomial, RatFunc, _map_factors, _monic_den, substitute
 from .errors import (
     ContextMismatchError,
     NormalizationViolationError,
@@ -140,8 +140,11 @@ class ShiftAut(Automorphism):
 
     def apply(self, f):
         # a shift is a ring automorphism of the polynomial ring: it preserves
-        # coprimality and the grlex leading term of the denominator
-        return RatFunc._raw(self.apply_poly(f.num), self.apply_poly(f.den))
+        # coprimality and the grlex leading term of the denominator, and it
+        # maps a base factor c*x_v + r to one with the same c and v
+        return RatFunc._raw(
+            self.apply_poly(f.num), self.apply_poly(f.den), _map_factors(f, self.apply_poly)
+        )
 
     def inverse(self):
         return ShiftAut(self.table, tuple(-c for c in self.offsets))
@@ -177,34 +180,40 @@ class ScalingAut(Automorphism):
         self.coeffs = coeffs
         self.exps = exps
 
-    def apply(self, f):
+    def _image(self, p):
         # A scaling maps distinct monomials to distinct monomials, so each
-        # term is written once; the images of a coprime pair can share only a
-        # monomial, which the smallest exponent of each variable removes.
+        # term is written once.
+        image = {}
+        for e, c in p.terms.items():
+            ne = list(e)
+            for i, d in enumerate(e):
+                if d:
+                    if self.coeffs[i] != 1:
+                        c = QQ(c * self.coeffs[i] ** d)
+                    for j, x in enumerate(self.exps[i]):
+                        if x:
+                            ne[j] += x * d
+            image[tuple(ne)] = c
+        return image
+
+    def apply(self, f):
+        # The images of a coprime pair can share only a monomial, which the
+        # smallest exponent of each variable removes; then the denominator is
+        # no longer the product of its factors' images.
         if f.num.is_zero():
             return f
-        images = []
-        for p in (f.num, f.den):
-            image = {}
-            for e, c in p.terms.items():
-                ne = list(e)
-                for i, d in enumerate(e):
-                    if d:
-                        if self.coeffs[i] != 1:
-                            c = QQ(c * self.coeffs[i] ** d)
-                        for j, x in enumerate(self.exps[i]):
-                            if x:
-                                ne[j] += x * d
-                image[tuple(ne)] = c
-            images.append(image)
+        images = [self._image(f.num), self._image(f.den)]
         low = tuple(map(min, zip(*images[0], *images[1])))
         if any(low):
+            fac = None
             images = [
                 {tuple(a - b for a, b in zip(e, low)): c for e, c in image.items()}
                 for image in images
             ]
+        else:
+            fac = _map_factors(f, lambda p: Polynomial._raw(p.nvars, self._image(p)))
         num, den = (Polynomial._raw(f.num.nvars, image) for image in images)
-        return RatFunc._raw(*_monic_den(num, den))
+        return RatFunc._raw(*_monic_den(num, den), fac)
 
     def inverse(self):
         return ScalingAut(
@@ -242,9 +251,12 @@ class PermutationAut(Automorphism):
     def apply(self, f):
         num = f.num.permute_vars(self.images)
         if f.den.is_constant():  # the canonical 1, which every permutation fixes
-            return RatFunc._raw(num, f.den)
+            return RatFunc._raw(num, f.den, f.fac)
         # permuting variables can change the grlex leading coefficient
-        return RatFunc._raw(*_monic_den(num, f.den.permute_vars(self.images)))
+        return RatFunc._raw(
+            *_monic_den(num, f.den.permute_vars(self.images)),
+            _map_factors(f, lambda p: p.permute_vars(self.images)),
+        )
 
     def inverse(self):
         return PermutationAut(self.table, _perm_inverse(self.images))

@@ -21,6 +21,18 @@ of a polynomial up to scalars has grlex leading coefficient 1, and a
 ``RatFunc`` stores a coprime numerator/denominator pair whose denominator is
 canonical in that sense.
 
+A ``RatFunc`` may also carry its denominator factored, as exponents over
+*base factors*: grlex-monic polynomials ``c*x_v + r`` of degree 1 in some
+pivot variable ``x_v``, with ``c`` a nonzero rational and ``r`` free of
+``x_v``.  Such a factor is primitive of degree 1 in ``x_v``, hence
+irreducible, so distinct base factors are coprime.  The root-hyperplane forms
+``x_i - x_j + c`` and ``q*x_i - x_j`` are base factors.  Between factored
+operands, the gcd of two denominators is an exponent minimum, and a numerator
+is cancelled by synthetic division in each factor's pivot variable, so no
+polynomial gcd runs.  The expanded ``den`` is kept as well and stays the
+canonical form; an operand without a factorization (``fac`` is None) takes
+the gcd path.
+
 GCD is computed exactly by content/primitive-part recursion with the
 subresultant pseudo-remainder sequence (Collins 1967; Brown 1971) in a chosen
 main variable v, on views ``{degree in v: coefficient}`` of the operands.  Its
@@ -30,6 +42,7 @@ modular or heuristic shortcuts are used.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 from operator import add
 
@@ -481,12 +494,99 @@ def _cancel(p, q):
     return g, p.divide_exact(g), q.divide_exact(g)
 
 
-def _strip(p, f):
-    """``(k, p/f^k)`` for the largest k with f^k dividing p; f must not be constant."""
-    k, q = 0, p.divide_exact(f)
-    while q is not None:
-        k, p, q = k + 1, q, q.divide_exact(f)
+def _pivot(f):
+    """The smallest v with f = c*x_v + r for a nonzero rational c and r free
+    of x_v, or None when there is none (then f is not a base factor)."""
+    terms = f.terms
+    for v in sorted(e.index(1) for e in terms if sum(e) == 1):
+        if sum(1 for e in terms if e[v]) == 1:
+            return v
+    return None
+
+
+def _strip(p, f, cap=None):
+    """``(k, p/f^k)`` for the largest k, at most ``cap``, with f^k dividing p;
+    p must be nonzero and f a base factor.
+
+    Synthetic division in the pivot variable v of f = c*x_v + r: the quotient
+    coefficients q_{d-1} = (p_d - r*q_d)/c come out from the top degree down,
+    and f divides p exactly when the last remainder p_0 - r*q_0 vanishes.
+    """
+    v = _pivot(f)
+    c = f.terms[tuple(int(i == v) for i in range(f.nvars))]
+    r = [(e, -a) for e, a in f.terms.items() if not e[v]]
+    k = 0
+    while k != cap:
+        view = {}
+        for e, a in p.terms.items():
+            view.setdefault(e[v], {})[e[:v] + (0,) + e[v + 1 :]] = a
+        quotient, q = {}, {}
+        for d in range(max(view), -1, -1):
+            rem = dict(view.get(d, ()))
+            for e, a in r:
+                _accumulate(rem, q.items(), coeff=a, shift=e)
+            if not d:
+                break
+            q = rem if c == 1 else {e: QQ(a, c) for e, a in rem.items()}
+            for e, a in q.items():
+                quotient[e[:v] + (d - 1,) + e[v + 1 :]] = a
+        if rem:
+            break
+        k, p = k + 1, Polynomial._raw(p.nvars, quotient)
     return k, p
+
+
+#: The factorization of a constant denominator, shared by every such RatFunc.
+_NO_FACTORS = ()
+
+
+def _factor_key(f):
+    return frozenset(f.terms.items())
+
+
+def _factor_poly(key, nvars):
+    return Polynomial._raw(nvars, dict(key))
+
+
+def _expand(fac, nvars):
+    """The monic polynomial prod f^e of a factorization ``{key of f: e}``."""
+    out = Polynomial.const(nvars, 1)
+    for key, e in fac.items():
+        out = out * _factor_poly(key, nvars) ** e
+    return out
+
+
+def _strip_factors(p, fac):
+    """``(p/h, fac/h)`` for h the largest divisor of p that divides the
+    factored polynomial ``fac`` (factor key -> exponent); fac/h is a Counter."""
+    left = Counter(fac)
+    for key, e in fac.items():
+        k, p = _strip(p, _factor_poly(key, p.nvars), e)
+        left[key] -= k
+    return p, +left
+
+
+def _single_factor(den):
+    """The factorization of a monic denominator that is constant or one base
+    factor, and None for any other."""
+    if den.is_constant():
+        return _NO_FACTORS
+    return ((_factor_key(den), 1),) if _pivot(den) is not None else None
+
+
+def _map_factors(r, image):
+    """The factorization of the image of r's denominator under a ring
+    automorphism that maps a polynomial p to ``image(p)`` up to a scalar; None
+    when r has none or some factor's image is not a base factor."""
+    if not r.fac:
+        return r.fac
+    out = []
+    for key, e in r.fac:
+        g = image(_factor_poly(key, r.nvars)).monic()
+        if _pivot(g) is None:
+            return None
+        out.append((_factor_key(g), e))
+    return tuple(out)
 
 
 def poly_lcm(p, q):
@@ -505,10 +605,11 @@ class RatFunc:
 
     Invariants: the denominator is nonzero and grlex-monic, and numerator and
     denominator are coprime.  Structural equality of canonical forms is
-    semantic equality.
+    semantic equality.  ``fac`` holds the denominator as ``(factor key,
+    exponent)`` pairs over base factors, or None when it is not known.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "fac")
 
     def __init__(self, num, den=None):
         if den is None:
@@ -518,23 +619,33 @@ class RatFunc:
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
-            self.num = num
-            self.den = Polynomial.const(num.nvars, 1)
+            self.num, self.den, self.fac = num, Polynomial.const(num.nvars, 1), _NO_FACTORS
             return
-        if not den.is_constant():
+        num, den = _monic_den(num, den)
+        fac = _single_factor(den)
+        if fac is None:
             _, num, den = _cancel(num, den)
-        self.num, self.den = _monic_den(num, den)
+        elif fac:
+            k, num = _strip(num, den, 1)
+            if k:
+                den = Polynomial.const(num.nvars, 1)
+        self.num, self.den = num, den
+        self.fac = _NO_FACTORS if den.is_constant() else fac
 
     @classmethod
-    def _raw(cls, num, den):
+    def _raw(cls, num, den, fac=None):
+        """A RatFunc from a canonical pair, without checks.  ``fac`` is the
+        factorization of ``den``, or None when it is not known; a constant
+        ``den`` must have the empty one."""
         r = object.__new__(cls)
         r.num = num
         r.den = den
+        r.fac = fac
         return r
 
     @classmethod
     def from_poly(cls, p):
-        return cls._raw(p, Polynomial.const(p.nvars, 1))
+        return cls._raw(p, Polynomial.const(p.nvars, 1), _NO_FACTORS)
 
     @classmethod
     def const(cls, nvars, c):
@@ -572,16 +683,28 @@ class RatFunc:
         b, d = self.den, other.den
         if b.is_constant() and d.is_constant():
             return RatFunc.from_poly(self.num + other.num)
-        g, b1, d1 = _cancel(b, d)
-        num = self.num * d1 + other.num * b1
+        if self.fac is None or other.fac is None:
+            g, b1, d1 = _cancel(b, d)
+            num = self.num * d1 + other.num * b1
+            if num.is_zero():
+                return RatFunc.zero(self.nvars)
+            # a common factor of num and b1*d1*g divides g; monic quotients keep _raw safe
+            _, num, g = _cancel(num, g)
+            return RatFunc._raw(num, b1 * d1 * g)
+        fb, fd = Counter(dict(self.fac)), Counter(dict(other.fac))
+        g = fb & fd  # gcd(b, d)
+        if g:
+            b, d = _expand(fb - g, self.nvars), _expand(fd - g, self.nvars)
+        num = self.num * d + other.num * b
         if num.is_zero():
             return RatFunc.zero(self.nvars)
-        # a common factor of num and b1*d1*g divides g; monic quotients keep _raw safe
-        _, num, g = _cancel(num, g)
-        return RatFunc._raw(num, b1 * d1 * g)
+        # as above, only the factors of g can cancel
+        num, left = _strip_factors(num, g)
+        fac = (fb | fd) - (g - left)
+        return RatFunc._raw(num, b * d * _expand(left, self.nvars), tuple(fac.items()))
 
     def __neg__(self):
-        return RatFunc._raw(-self.num, self.den)
+        return RatFunc._raw(-self.num, self.den, self.fac)
 
     def __sub__(self, other):
         return self + (-other)
@@ -592,14 +715,22 @@ class RatFunc:
         self._check(other)
         if self.num.is_zero() or other.num.is_zero():
             return RatFunc.zero(self.nvars)
-        _, a, d = _cancel(self.num, other.den)
-        _, c, b = _cancel(other.num, self.den)
-        return RatFunc._raw(*_monic_den(a * c, b * d))
+        if self.fac is None or other.fac is None or not (self.fac or other.fac):
+            _, a, d = _cancel(self.num, other.den)
+            _, c, b = _cancel(other.num, self.den)
+            num, den = _monic_den(a * c, b * d)
+            return RatFunc._raw(num, den, _single_factor(den))
+        a, fd = _strip_factors(self.num, dict(other.fac))
+        c, fb = _strip_factors(other.num, dict(self.fac))
+        b = self.den if c is other.num else _expand(fb, self.nvars)
+        d = other.den if a is self.num else _expand(fd, self.nvars)
+        return RatFunc._raw(a * c, b * d, tuple((fb + fd).items()))
 
     def invert(self):
         if self.num.is_zero():
             raise ZeroDivisionError("inversion of the zero rational function")
-        return RatFunc._raw(*_monic_den(self.den, self.num))
+        num, den = _monic_den(self.den, self.num)
+        return RatFunc._raw(num, den, _single_factor(den))
 
     def __truediv__(self, other):
         return self * other.invert()
@@ -608,13 +739,14 @@ class RatFunc:
         if k < 0:
             return self.invert() ** (-k)
         # powers of a coprime pair are coprime, and of a monic polynomial monic
-        return RatFunc._raw(self.num**k, self.den**k)
+        fac = self.fac and tuple((key, e * k) for key, e in self.fac)
+        return RatFunc._raw(self.num**k, self.den**k, fac if k else _NO_FACTORS)
 
     def scale(self, c):
         c = QQ(c)
         if c == 0:
             return RatFunc.zero(self.nvars)
-        return RatFunc._raw(self.num.scale(c), self.den)
+        return RatFunc._raw(self.num.scale(c), self.den, self.fac)
 
     @classmethod
     def zero(cls, nvars):

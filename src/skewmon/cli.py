@@ -16,7 +16,7 @@ from importlib import resources
 from . import __version__
 from .arith import QQ, ratfunc_from_json, ratfunc_to_text
 from .actions import DEFAULT_GROUP_CAP, MonoidElement, ScalingAut, ShiftAut, VariableTable
-from .errors import ResourceCapError, SkewmonError
+from .errors import DefinitionError, ResourceCapError, SkewmonError
 from .reports import Report, dump_json
 from .skewring import is_invariant
 from .constructors import (
@@ -289,8 +289,18 @@ def _validate_job(index, job):
             wanted = "an integer" if low is None else f"an integer >= {low}"
             raise ScenarioError(f"{where}: {param} must be {wanted}, got {value!r}")
     for param in ("frame", "elements", "generators"):
-        if param in job and not isinstance(job[param], list):
-            raise ScenarioError(f"{where}: {param} must be a list, got {job[param]!r}")
+        value = job.get(param, [])
+        if not isinstance(value, list):
+            raise ScenarioError(f"{where}: {param} must be a list, got {value!r}")
+        for entry in value:
+            if param == "generators":
+                if not (isinstance(entry, list) and all(type(x) is int for x in entry)):
+                    raise ScenarioError(
+                        f"{where}: generators entries must be lists of integers, got {entry!r}"
+                    )
+            elif not isinstance(entry, (str, dict)):
+                # what evaluate_expression says of such a node, before any job runs
+                raise DefinitionError(f"{where}: unrecognized expression node {entry!r}")
     relations = job.get("relations", "gl")
     if relations != "gl" and not (
         isinstance(relations, list)

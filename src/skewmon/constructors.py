@@ -314,18 +314,23 @@ def gt_embedding(n, group_cap=DEFAULT_GROUP_CAP):
         up = SkewElement.zero(ctx)
         down = SkewElement.zero(ctx)
         for i in range(1, k + 1):
-            den = Polynomial.const(nv, 1)
+            # a product of inverses keeps the denominator factored
+            inv_den = RatFunc.const(nv, 1)
             for j in range(1, k + 1):
                 if j != i:
-                    den = den * (x(k, i) - x(k, j))
+                    inv_den = inv_den / RatFunc.from_poly(x(k, i) - x(k, j))
             num_up = Polynomial.const(nv, -1)
             for j in range(1, k + 2):
                 num_up = num_up * (x(k, i) - x(k + 1, j))
-            up = up + SkewElement.generator(ctx, delta(k, i, 1), RatFunc(num_up, den))
+            up = up + SkewElement.generator(
+                ctx, delta(k, i, 1), RatFunc.from_poly(num_up) * inv_den
+            )
             num_down = Polynomial.const(nv, 1)
             for j in range(1, k):
                 num_down = num_down * (x(k, i) - x(k - 1, j))
-            down = down + SkewElement.generator(ctx, delta(k, i, -1), RatFunc(num_down, den))
+            down = down + SkewElement.generator(
+                ctx, delta(k, i, -1), RatFunc.from_poly(num_down) * inv_den
+            )
         gens[f"E{k}{k + 1}"] = up
         gens[f"E{k + 1}{k}"] = down
     for k in range(1, n + 1):

@@ -308,8 +308,17 @@ class TestJobValidation:
          'relations must be "gl" or a list of objects with name and expr'),
         ({"op": "verify_relations", "relations": [{"expr": {"gen": "E12"}}]},
          'relations must be "gl" or a list of objects with name and expr'),
+        ({"op": "monoid_growth", "generators": [5], "k_max": 2},
+         "generators entries must be lists of integers, got 5"),
+        ({"op": "monoid_growth", "generators": [[1, "0"]], "k_max": 2},
+         "generators entries must be lists of integers, got [1, '0']"),
+        ({"op": "growth_profile", "frame": [{"const": "1"}, 7], "k_max": 2},
+         "unrecognized expression node 7"),
+        ({"op": "standard_identity", "elements": [["E12"]]},
+         "unrecognized expression node ['E12']"),
     ], ids=["frame-not-a-list", "elements-not-a-list", "relations-not-a-list",
-            "relation-without-name"])
+            "relation-without-name", "generator-not-a-list", "generator-not-integers",
+            "frame-entry-not-an-expression", "elements-entry-not-an-expression"])
     def test_element_shapes_are_checked_before_any_job_runs(self, tmp_path, capsys, job,
                                                              message):
         job = dict(job, name="shape")

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from skewmon import arith
 from skewmon.arith import QQ
 from skewmon.constructors import gt_embedding
 from skewmon.skewring import SkewElement, commutator
@@ -36,6 +37,16 @@ def test_gl3_relation_suite(gt3):
     report = verify_relations(gt3, gl_relation_set(3))
     assert report.passed, report.failures()
     assert time.perf_counter() - t0 < 300.0
+
+
+def test_gl3_relation_suite_needs_no_polynomial_gcd(monkeypatch):
+    # every denominator is a product of root forms x_ki - x_kj, so sums and
+    # products cancel them by synthetic division, from construction on
+    calls = []
+    gcd = arith._gcd_primitive_parts
+    monkeypatch.setattr(arith, "_gcd_primitive_parts", lambda p, q: calls.append(1) or gcd(p, q))
+    assert verify_relations(gt_embedding(3), gl_relation_set(3)).passed
+    assert len(calls) == 0
 
 
 def test_relation_count_n3():

@@ -19,6 +19,7 @@ from skewmon.arith import (  # noqa: E402
     Polynomial,
     RatFunc,
     _pseudo_rem,
+    _strip,
     pole_order,
     poly_gcd,
     residue_along,
@@ -119,6 +120,29 @@ def test_divide_exact():
         want = from_sympy(quo) if rem == 0 else None
         if p.divide_exact(d) != want:
             mismatches.append((to_sympy(p), to_sympy(d)))
+    assert not mismatches, f"{len(mismatches)} of {CASES} disagree, e.g. {mismatches[:3]}"
+
+
+def test_strip_by_base_factor():
+    # f = c*x_v + r with r free of x_v, planted in p up to three times;
+    # _strip's synthetic division must find sympy's multiplicity and cofactor
+    rng = random.Random(79)
+    mismatches = []
+    for _ in range(CASES):
+        v = rng.randrange(NV)
+        rest = {e: c for e, c in rand_poly(rng, nterms=2).terms.items() if not e[v]}
+        rest[tuple(int(i == v) for i in range(NV))] = rng.choice([-3, -2, -1, 1, 2, 3])
+        f = Polynomial(NV, rest).monic()
+        p = rand_poly(rng, max_deg=3, nterms=4) * f ** rng.randint(0, 3)
+        cap = rng.choice([None, 1, 2])
+        want_k, want = 0, to_sympy(p)
+        while want_k != cap:
+            quo, rem = sympy.div(want, to_sympy(f), *SYMS, domain=sympy.QQ)
+            if rem != 0:
+                break
+            want_k, want = want_k + 1, quo
+        if _strip(p, f, cap) != (want_k, from_sympy(want)):
+            mismatches.append((to_sympy(p), to_sympy(f), cap))
     assert not mismatches, f"{len(mismatches)} of {CASES} disagree, e.g. {mismatches[:3]}"
 
 

@@ -17,16 +17,17 @@ from itertools import permutations
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import Phase, assume, given, settings, strategies as st  # noqa: E402
 
 from skewmon.actions import (  # noqa: E402
     GeneralAut,
     PermutationAut,
     ScalingAut,
+    ShiftAut,
     VariableTable,
 )
 from skewmon.analysis import _SpanReducer  # noqa: E402
-from skewmon.arith import Polynomial, RatFunc, poly_gcd, substitute  # noqa: E402
+from skewmon.arith import Polynomial, RatFunc, _pivot, poly_gcd, substitute  # noqa: E402
 from skewmon.errors import DegenerateSubstitutionError  # noqa: E402
 from skewmon.constructors import build_shift_algebra  # noqa: E402
 from skewmon.skewring import SkewElement, g_action  # noqa: E402
@@ -66,7 +67,13 @@ entries = st.builds(RatFunc, linear, linear.filter(lambda p: not p.is_zero())).f
 )
 vectors = st.dictionaries(st.integers(0, 3), entries, min_size=1, max_size=3)
 
-fast = settings(max_examples=60, deadline=None)
+# every phase but explain: a failing property still shrinks, but skips the
+# explain phase, which took minutes on each distinct failure
+fast = settings(
+    max_examples=60,
+    deadline=None,
+    phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target, Phase.shrink],
+)
 
 
 def _planted(kind, a, b, c, d, h):
@@ -253,3 +260,96 @@ def test_rational_function_coefficients_stay_exact(r, s, f, g):
     assert total - s == r and product * inverse == r and s * inverse == RatFunc(ONE)
     if mapped:  # substitution is a ring homomorphism
         assert mapped[0] * mapped[1] == mapped[2]
+
+
+def _base_factor(v, c, rest):
+    """The monic c*x_v + rest, with the terms of rest in x_v dropped: degree 1
+    in x_v with a constant coefficient there, such as x - y + 2 or x*z - y."""
+    terms = {e: a for e, a in rest.terms.items() if not e[v]}
+    terms[tuple(int(i == v) for i in range(NV))] = c
+    return Polynomial(NV, terms).monic()
+
+
+base_factors = st.builds(_base_factor, st.integers(0, NV - 1), nonzero_coeffs, small_polys)
+factor_lists = st.lists(st.tuples(base_factors, st.integers(1, 2)), max_size=2)
+
+
+def _product(factors):
+    out = ONE
+    for f, e in factors:
+        out = out * f**e
+    return out
+
+
+def _factored(num, factors):
+    """num / prod f^e, built from inverses of base factors so that it stays factored."""
+    r = RatFunc.from_poly(num)
+    for f, e in factors:
+        r = r * RatFunc.from_poly(f).invert() ** e
+    return r
+
+
+@st.composite
+def factored_pairs(draw):
+    """Two (numerator, factors) pairs whose denominators share the factors of
+    ``shared``, with factors of either denominator planted in the numerators,
+    or with equal denominators and a sum that cancels a shared factor."""
+    shared, own_r, own_s = draw(factor_lists), draw(factor_lists), draw(factor_lists)
+    sum_cancels = bool(shared) and draw(st.booleans())
+    dens = (shared, shared) if sum_cancels else (shared + own_r, shared + own_s)
+    nums = []
+    for den in dens:
+        planted = draw(st.lists(st.sampled_from(dens[0] + dens[1]), max_size=2)) if den else []
+        num = draw(small_nonzero)
+        for f, e in planted:
+            num = num * f**e
+        nums.append(num)
+    if sum_cancels:
+        nums[1] = shared[0][0] * nums[1] - nums[0]
+        assume(nums[1])
+    return list(zip(nums, dens))
+
+
+def assert_factored(r):
+    """r's factorization is over distinct base factors and multiplies out to r.den."""
+    assert_canonical(r)
+    factors = [(Polynomial(NV, dict(key)), e) for key, e in r.fac]
+    for f, e in factors:
+        assert e > 0 and f.leading_term()[1] == 1 and _pivot(f) is not None
+    assert len({key for key, _ in r.fac}) == len(r.fac)
+    assert _product(factors) == r.den
+
+
+def _dropped(r):
+    """r with its factorization dropped, so arithmetic on it runs through poly_gcd."""
+    return RatFunc._raw(r.num, r.den)
+
+
+@fast
+@given(
+    factored_pairs(), st.integers(-2, 2), st.tuples(*[st.integers(-2, 2)] * NV), perm_auts,
+    scalings,
+)
+def test_factored_arithmetic_agrees_with_the_gcd_path(pairs, k, offsets, perm, scaling):
+    (a, b), (c, d) = pairs
+    r, s = _factored(a, b), _factored(c, d)
+    for x, (num, den) in ((r, pairs[0]), (s, pairs[1])):
+        assert x.fac is not None
+        assert_factored(x)
+        assert x == RatFunc(num, _product(den))
+    shift = ShiftAut(PERM_TABLE, offsets)
+    R, S = _dropped(r), _dropped(s)
+    kept = [
+        (r + s, R + S), (r - s, R - S), (r * s, R * S), (r**abs(k), R**abs(k)),
+        (shift.apply(r), shift.apply(R)), (perm.apply(r), perm.apply(R)),
+    ]
+    for got, want in kept:
+        assert got.fac is not None and got == want
+        assert_factored(got)
+    # these keep a factorization only when every factor's image is a base factor
+    maybe = [(r.invert(), R.invert()), (r**k, R**k), (r / s, R / S),
+             (scaling.apply(r), scaling.apply(R))]
+    for got, want in maybe:
+        assert got == want
+        if got.fac is not None:
+            assert_factored(got)

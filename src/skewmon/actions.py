@@ -11,7 +11,7 @@ substitutions.  Supported groups are finite groups of variable permutations,
 enumerated eagerly at construction up to a hard cap.
 """
 
-from .arith import NEG_INF, QQ, Polynomial, RatFunc, _map_factors, _monic_den, substitute
+from .arith import QQ, Polynomial, RatFunc, poly_from_text, substitute
 from .errors import (
     ContextMismatchError,
     NormalizationViolationError,
@@ -57,8 +57,6 @@ class VariableTable:
         return RatFunc.variable(self.nvars, self.index(name))
 
     def poly(self, text):
-        from .arith import poly_from_text
-
         return RatFunc.from_poly(poly_from_text(text, self.names))
 
     def __eq__(self, other):
@@ -114,7 +112,7 @@ class Automorphism:
 class ShiftAut(Automorphism):
     """x_i -> x_i + offset_i on acted variables; everything else fixed."""
 
-    __slots__ = ("table", "offsets")
+    __slots__ = ("table", "offsets", "images")
 
     def __init__(self, table, offsets):
         if len(offsets) != table.nvars:
@@ -125,26 +123,18 @@ class ShiftAut(Automorphism):
                 raise PreconditionError("shift offset on a non-acted variable")
         self.table = table
         self.offsets = offsets
+        self.images = {i: Polynomial.variable(table.nvars, i) + Polynomial.const(table.nvars, c)
+                       for i, c in enumerate(offsets) if c != 0}
 
     def apply_poly(self, p):
         # one variable at a time is exact here: each image involves only its own variable
-        out = p
-        nv = p.nvars
-        for i, c in enumerate(self.offsets):
-            if c != 0 and out.degree_in(i) not in (NEG_INF, 0):
-                image = Polynomial._raw(
-                    nv, {tuple(1 if j == i else 0 for j in range(nv)): QQ(1), (0,) * nv: c}
-                )
-                out = out.substitute_var(i, image)
-        return out
+        for i, image in self.images.items():
+            if p.degree_in(i) > 0:
+                p = p.substitute_var(i, image)
+        return p
 
     def apply(self, f):
-        # a shift is a ring automorphism of the polynomial ring: it preserves
-        # coprimality and the grlex leading term of the denominator, and it
-        # maps a base factor c*x_v + r to one with the same c and v
-        return RatFunc._raw(
-            self.apply_poly(f.num), self.apply_poly(f.den), _map_factors(f, self.apply_poly)
-        )
+        return f.map(self.apply_poly)
 
     def inverse(self):
         return ShiftAut(self.table, tuple(-c for c in self.offsets))
@@ -180,40 +170,8 @@ class ScalingAut(Automorphism):
         self.coeffs = coeffs
         self.exps = exps
 
-    def _image(self, p):
-        # A scaling maps distinct monomials to distinct monomials, so each
-        # term is written once.
-        image = {}
-        for e, c in p.terms.items():
-            ne = list(e)
-            for i, d in enumerate(e):
-                if d:
-                    if self.coeffs[i] != 1:
-                        c = QQ(c * self.coeffs[i] ** d)
-                    for j, x in enumerate(self.exps[i]):
-                        if x:
-                            ne[j] += x * d
-            image[tuple(ne)] = c
-        return image
-
     def apply(self, f):
-        # The images of a coprime pair can share only a monomial, which the
-        # smallest exponent of each variable removes; then the denominator is
-        # no longer the product of its factors' images.
-        if f.num.is_zero():
-            return f
-        images = [self._image(f.num), self._image(f.den)]
-        low = tuple(map(min, zip(*images[0], *images[1])))
-        if any(low):
-            fac = None
-            images = [
-                {tuple(a - b for a, b in zip(e, low)): c for e, c in image.items()}
-                for image in images
-            ]
-        else:
-            fac = _map_factors(f, lambda p: Polynomial._raw(p.nvars, self._image(p)))
-        num, den = (Polynomial._raw(f.num.nvars, image) for image in images)
-        return RatFunc._raw(*_monic_den(num, den), fac)
+        return f.scale_vars(self.coeffs, self.exps)
 
     def inverse(self):
         return ScalingAut(
@@ -249,14 +207,7 @@ class PermutationAut(Automorphism):
         self.images = images
 
     def apply(self, f):
-        num = f.num.permute_vars(self.images)
-        if f.den.is_constant():  # the canonical 1, which every permutation fixes
-            return RatFunc._raw(num, f.den, f.fac)
-        # permuting variables can change the grlex leading coefficient
-        return RatFunc._raw(
-            *_monic_den(num, f.den.permute_vars(self.images)),
-            _map_factors(f, lambda p: p.permute_vars(self.images)),
-        )
+        return f.map(lambda p: p.permute_vars(self.images))
 
     def inverse(self):
         return PermutationAut(self.table, _perm_inverse(self.images))

@@ -278,19 +278,6 @@ def support_lattice_rank(elements):
 # ---------------------------------------------------------------------------
 
 
-def _split_by_nonparam(poly, table):
-    """Group the terms of a full-table polynomial by their non-parameter part.
-
-    Returns {nonparam exponent tuple: parameter-only Polynomial}.
-    """
-    np_count = table.n_acted + table.n_fixed
-    out = {}
-    for e, c in poly.terms.items():
-        head, tail = e[:np_count], (0,) * np_count + e[np_count:]
-        out.setdefault(head, {})[tail] = c
-    return {head: Polynomial._raw(poly.nvars, b) for head, b in out.items()}
-
-
 class _SpanReducer:
     """Incremental row reduction over the parameter fraction field.
 
@@ -346,6 +333,7 @@ def _element_vectors(coeff_maps, table, common=None):
     makes vectors from earlier calls stale.
     """
     one = Polynomial.const(table.nvars, 1)
+    np_count = table.n_acted + table.n_fixed
     common = {} if common is None else common
     held = set(common)
     grown = False
@@ -362,7 +350,7 @@ def _element_vectors(coeff_maps, table, common=None):
         vec = {}
         for key, c in coeffs.items():
             cleared = c.num * common[key].divide_exact(c.den)
-            for head, tail_poly in _split_by_nonparam(cleared, table).items():
+            for head, tail_poly in cleared.split_head(np_count).items():
                 vec[(key, head)] = RatFunc.from_poly(tail_poly)
         vectors.append(vec)
     return vectors, grown
@@ -439,7 +427,7 @@ def center_candidates(spec, degree_bound):
             p = p + v * RatFunc.from_poly(Polynomial.monomial(table.nvars, monos[c]))
         # canonical representative: the grlex-leading non-parameter monomial
         # gets coefficient exactly 1
-        groups = _split_by_nonparam(p.num, table)
+        groups = p.num.split_head(table.n_acted + table.n_fixed)
         lead = max(groups, key=lambda h: (sum(h), h))
         basis.append(RatFunc(p.num, groups[lead]))
     return basis
@@ -510,12 +498,12 @@ def ore_witness(s, u):
 # ---------------------------------------------------------------------------
 
 
-def standard_identity(n, elements, cap=DEFAULT_SI_CAP):
+def standard_identity(n, elements):
     """s_n(a_1..a_n) = sum over permutations of sgn(sigma) a_{sigma(1)}...a_{sigma(n)}."""
     if len(elements) != n:
         raise PreconditionError(f"expected {n} elements, got {len(elements)}")
-    if n > cap:
-        raise ResourceCapError(f"standard identity degree {n} exceeds the cap {cap}")
+    if n > DEFAULT_SI_CAP:
+        raise ResourceCapError(f"standard identity degree {n} exceeds the cap {DEFAULT_SI_CAP}")
     if n == 0:
         raise PreconditionError("empty standard identity")
     ctx = elements[0].context

@@ -33,6 +33,12 @@ polynomial gcd runs.  The expanded ``den`` is kept as well and stays the
 canonical form; an operand without a factorization (``fac`` is None) takes
 the gcd path.
 
+This module is the only one that builds term dicts, canonical pairs and
+factorizations.  Automorphisms reach them through ``RatFunc.map`` (ring
+automorphisms of the polynomial ring: shifts and permutations) and
+``RatFunc.scale_vars`` (monomial scalings), and a hyperplane ``h = c`` is the
+base factor ``(h - c).monic()``.
+
 GCD is computed exactly by content/primitive-part recursion with the
 subresultant pseudo-remainder sequence (Collins 1967; Brown 1971) in a chosen
 main variable v, on views ``{degree in v: coefficient}`` of the operands.  Its
@@ -44,7 +50,7 @@ modular or heuristic shortcuts are used.
 import math
 from collections import Counter
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 
 from .errors import (
     ContextMismatchError,
@@ -320,6 +326,15 @@ class Polynomial:
             stripped = e[:var] + (0,) + e[var + 1 :]
             out.setdefault(e[var], {})[stripped] = c
         return {d: Polynomial._raw(self.nvars, b) for d, b in out.items()}
+
+    def split_head(self, k):
+        """Group the terms by their first ``k`` exponents: map head exponent
+        tuple -> the polynomial of those terms with the head set to zero."""
+        pad = (0,) * k
+        out = {}
+        for e, c in self.terms.items():
+            out.setdefault(e[:k], {})[pad + e[k:]] = c
+        return {head: Polynomial._raw(self.nvars, b) for head, b in out.items()}
 
     def substitute_var(self, var, image):
         """Substitute ``image`` (a Polynomial) for one variable, exactly."""
@@ -748,6 +763,50 @@ class RatFunc:
             return RatFunc.zero(self.nvars)
         return RatFunc._raw(self.num.scale(c), self.den, self.fac)
 
+    def map(self, image):
+        """The image of self under a ring automorphism of the polynomial ring,
+        such as a shift or a permutation of the variables, that is ``image``
+        on polynomials.  It keeps the pair coprime and maps base factors to
+        base factors; only the denominator's leading coefficient can change."""
+        num = image(self.num)
+        if self.den.is_constant():  # the canonical 1, which every automorphism fixes
+            return RatFunc._raw(num, self.den, self.fac)
+        num, den = _monic_den(num, image(self.den))
+        return RatFunc._raw(num, den, _map_factors(self, image))
+
+    def scale_vars(self, coeffs, exps):
+        """The image of self under x_i -> coeffs[i] * x^exps[i] * x_i.  Distinct
+        monomials have distinct images, so each term is written once.  The
+        images of a coprime pair can share only a monomial, which the smallest
+        exponent of each variable removes; the factorization is then dropped."""
+        nvars = self.nvars
+
+        def image(p):
+            out = {}
+            for e, c in p.terms.items():
+                ne = list(e)
+                for i, d in enumerate(e):
+                    if d:
+                        if coeffs[i] != 1:
+                            c = QQ(c * coeffs[i] ** d)
+                        for j, x in enumerate(exps[i]):
+                            if x:
+                                ne[j] += x * d
+                out[tuple(ne)] = c
+            return out
+
+        num, den = image(self.num), image(self.den)
+        low = tuple(map(min, zip(*num, *den)))
+        if any(low):
+            fac = None
+            num, den = ({tuple(map(sub, e, low)): c for e, c in t.items()} for t in (num, den))
+        else:
+            fac = _map_factors(self, lambda p: Polynomial._raw(nvars, image(p)))
+            if fac and any(min(e) < 0 for key, _ in fac for e, _ in key):
+                fac = None  # a negative power in a multiplier left a factor's image Laurent
+        num, den = (Polynomial._raw(nvars, t) for t in (num, den))
+        return RatFunc._raw(*_monic_den(num, den), fac)
+
     @classmethod
     def zero(cls, nvars):
         return cls.from_poly(Polynomial.zero(nvars))
@@ -824,46 +883,35 @@ def _ratfunc_substitute(p, images):
 # ---------------------------------------------------------------------------
 
 
-def _hyperplane_pivot(h, c):
-    """Validate the linear form h and return (pivot index, elimination image).
-
-    The image is the polynomial expressing the pivot variable on the
-    hyperplane h = c.
-    """
+def _hyperplane(h, c):
+    """The base factor (h - c).monic() of the hyperplane h = c; h must be a
+    linear form.  Its pivot is the first variable of h, with coefficient 1."""
     if h.is_zero() or h.is_constant():
         raise InvalidDivisorError("divisor is not a hyperplane")
     if h.total_degree() != 1:
         raise InvalidDivisorError("divisor must be a linear form")
-    coeffs = {}
-    const = QQ(0)
-    for e, k in h.terms.items():
-        if sum(e) == 0:
-            const = k
-        else:
-            coeffs[e.index(1)] = k
-    pivot = min(coeffs)
-    a = coeffs[pivot]
-    image = Polynomial.const(h.nvars, QQ(QQ(c) - const, a))
-    for i, k in coeffs.items():
-        if i != pivot:
-            image = image + Polynomial.variable(h.nvars, i).scale(QQ(-k, a))
-    return pivot, image
+    return (h - Polynomial.const(h.nvars, c)).monic()
+
+
+def _restrict(num, den, f):
+    """num/den restricted to the hyperplane f = 0 of a base factor f = x_v +
+    r, by eliminating its pivot: x_v -> x_v - f = -r."""
+    v = _pivot(f)
+    image = Polynomial.variable(f.nvars, v) - f
+    num, den = num.substitute_var(v, image), den.substitute_var(v, image)
+    if den.is_zero():
+        raise DegenerateSubstitutionError("denominator vanishes on the hyperplane")
+    return RatFunc(num, den)
 
 
 def pole_order(r, h, c):
     """Order of the pole of r along the hyperplane h = c (0 when regular)."""
-    _hyperplane_pivot(h, c)
-    return _strip(r.den, (h - Polynomial.const(h.nvars, c)).monic())[0]
+    return _strip(r.den, _hyperplane(h, c))[0]
 
 
 def restrict_to_hyperplane(r, h, c):
     """Restrict r to the hyperplane h = c by eliminating one variable."""
-    pivot, image = _hyperplane_pivot(h, c)
-    num = r.num.substitute_var(pivot, image)
-    den = r.den.substitute_var(pivot, image)
-    if den.is_zero():
-        raise DegenerateSubstitutionError("denominator vanishes on the hyperplane")
-    return RatFunc(num, den)
+    return _restrict(r.num, r.den, _hyperplane(h, c))
 
 
 def residue_along(r, h, c):
@@ -873,14 +921,14 @@ def residue_along(r, h, c):
     regular there, and the classical residue coefficient for a simple pole.
     Raises HigherOrderPoleError when the pole order is two or more.
     """
-    order = pole_order(r, h, c)
+    f = _hyperplane(h, c)
+    order, rest = _strip(r.den, f)
     if order >= 2:
         raise HigherOrderPoleError(f"pole of order {order} along the divisor")
     if order == 0:
         return RatFunc.zero(r.nvars)
-    divisor = h - Polynomial.const(h.nvars, c)
-    cleared = RatFunc.from_poly(divisor) * r
-    return restrict_to_hyperplane(cleared, h, c)
+    # (h - c) * r = lc(h) * f * num / (f * rest), with f the monic h - c
+    return _restrict(r.num.scale(h.leading_term()[1]), rest, f)
 
 
 # ---------------------------------------------------------------------------

@@ -356,12 +356,11 @@ def gt_embedding(n, group_cap=DEFAULT_GROUP_CAP):
 # ---------------------------------------------------------------------------
 
 
-def symmetric_group_context(n, names=None, group_cap=DEFAULT_GROUP_CAP):
+def symmetric_group_context(n, group_cap=DEFAULT_GROUP_CAP):
     """L = k(x_1..x_n) with keys the symmetric group S_n permuting the variables."""
     if n < 2:
         raise PreconditionError("need at least two variables")
-    names = list(names) if names else [f"x{i}" for i in range(1, n + 1)]
-    table = VariableTable(names)
+    table = VariableTable([f"x{i}" for i in range(1, n + 1)])
     gens = []
     for i in range(n - 1):
         perm = list(range(n))

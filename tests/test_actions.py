@@ -150,6 +150,17 @@ class TestAutomorphisms:
         assert s.apply(image) == one / (h + one)
         assert image.den.leading_term()[1] == 1
 
+    def test_scaling_keeps_only_polynomial_factor_images(self):
+        # y -> y/q maps the factor x*y + q of 1/(q*(x*y + q)) to x*y/q + q,
+        # which is no polynomial, although the image pair shares no monomial;
+        # kept as a factor, it broke the product below
+        t = VariableTable(["x", "y"], [], ["q"])
+        g = ScalingAut(t, (1, 1, 1), ((0, 0, 0), (0, 0, -1), (0, 0, 0)))
+        x, y, q = (t.var(n) for n in t.names)
+        image = g.apply(q.invert() * (x * y + q).invert())
+        assert image == (x * y + q * q).invert()
+        assert image * (x * y + q * q) == t.poly("1")
+
     def test_integer_scaling_inverse_and_negative_power_are_exact(self):
         t = VariableTable(["h"])
         g = ScalingAut(t, (2,), ((0,),))

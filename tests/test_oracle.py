@@ -3,18 +3,22 @@
 Each test draws seeded random inputs, computes the result with skewmon and
 with sympy, and collects every disagreement, so a failure reports how many
 cases disagree and the first few of them.  Rational-function results are
-compared with ``sympy.cancel(got - want) == 0``.
+compared with ``sympy.cancel(got - want) == 0``.  The center search is
+checked on fixed tables instead, against sympy's ``linsolve``.
 """
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith  # noqa: E402
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
-from skewmon.analysis import smith_normal_form  # noqa: E402
+from skewmon.actions import LATTICE, Context, Group, ScalingAut, ShiftAut, VariableTable  # noqa: E402
+from skewmon.analysis import center_candidates, smith_normal_form  # noqa: E402
 from skewmon.arith import (  # noqa: E402
     Polynomial,
     RatFunc,
@@ -23,8 +27,10 @@ from skewmon.arith import (  # noqa: E402
     pole_order,
     poly_gcd,
     residue_along,
+    restrict_to_hyperplane,
     substitute,
 )
+from skewmon.constructors import AlgebraSpec  # noqa: E402
 from skewmon.errors import DegenerateSubstitutionError, HigherOrderPoleError  # noqa: E402
 
 NV = 3
@@ -32,12 +38,12 @@ SYMS = sympy.symbols(f"x0:{NV}")
 CASES = 100
 
 
-def to_sympy(r):
+def to_sympy(r, syms=SYMS):
     if isinstance(r, RatFunc):
-        return to_sympy(r.num) / to_sympy(r.den)
+        return to_sympy(r.num, syms) / to_sympy(r.den, syms)
     return sympy.Add(*[
         sympy.Rational(c.numerator, c.denominator)
-        * sympy.Mul(*[s**d for s, d in zip(SYMS, e)])
+        * sympy.Mul(*[s**d for s, d in zip(syms, e)])
         for e, c in r.terms.items()
     ])
 
@@ -265,6 +271,19 @@ def test_pole_order_and_residue():
         if pole_order(r, h, c) != want_order or want_order != m:
             mismatches.append(("order", r_sym, hc, m))
             continue
+        # restriction: sympy's subs + cancel when r is regular on the
+        # hyperplane; a denominator vanishing there must raise
+        if m:
+            try:
+                restrict_to_hyperplane(r, h, c)
+            except DegenerateSubstitutionError:
+                pass
+            else:
+                mismatches.append(("no DegenerateSubstitutionError", r_sym, hc))
+        elif sympy.cancel(
+            to_sympy(restrict_to_hyperplane(r, h, c)) - r_sym.subs(SYMS[pivot], image)
+        ) != 0:
+            mismatches.append(("restriction", r_sym, hc))
         if m == 2:
             try:
                 residue_along(r, h, c)
@@ -277,3 +296,77 @@ def test_pole_order_and_residue():
             mismatches.append(("residue", r_sym, hc))
     assert min(planted.values()) > 0
     assert not mismatches, f"{len(mismatches)} of {CASES} disagree, e.g. {mismatches[:3]}"
+
+
+def _invariant_space(table, substitutions, degree):
+    """Monomials of degree <= ``degree`` in the non-parameter variables, and a
+    basis (coefficient vectors over them) of the polynomials fixed by every
+    substitution, from sympy's linsolve on the coefficient equations."""
+    syms = sympy.symbols(table.names)
+    free = syms[: table.n_acted + table.n_fixed]
+    monos = [
+        sympy.Mul(*[x**d for x, d in zip(free, e)])
+        for e in product(range(degree + 1), repeat=len(free))
+        if sum(e) <= degree
+    ]
+    unknowns = sympy.symbols(f"a0:{len(monos)}")
+    generic = sum(a * m for a, m in zip(unknowns, monos))
+    named = dict(zip(table.names, syms))
+    equations = []
+    for subs in substitutions:
+        moved = generic.subs(subs(named), simultaneous=True) - generic
+        equations += sympy.Poly(sympy.numer(sympy.together(moved)), *free).coeffs()
+    (solution,) = sympy.linsolve(equations, unknowns)
+    params = [a for a in unknowns if a in solution.free_symbols]
+    basis = [
+        [sympy.cancel(v.subs({b: int(b == a) for b in params})) for v in solution]
+        for a in params
+    ]
+    return syms, free, monos, basis
+
+
+def _rank(rows):
+    return DomainMatrix.from_Matrix(sympy.Matrix(rows)).to_field().rank()
+
+
+_SWAP = lambda s: {s["x1"]: s["x2"], s["x2"]: s["x1"]}  # noqa: E731
+
+
+def _diagonal_shift_table():
+    t = VariableTable(["x1", "x2"], ["x3"])
+    ctx = Context(t, LATTICE, [ShiftAut(t, (-1, -1, 0))],
+                  group=Group.from_generators(t, [(1, 0, 2)]))
+    return ctx, [lambda s: {s["x1"]: s["x1"] - 1, s["x2"]: s["x2"] - 1}, _SWAP]
+
+
+def _qscaling_table():
+    # x1 -> 2q x1, x2 -> x2/(2q): non-unit rational multipliers
+    t = VariableTable(["x1", "x2"], ["x3"], ["q"])
+    g = ScalingAut(t, (2, "1/2", 1, 1), ((0, 0, 0, 1), (0, 0, 0, -1), (0,) * 4, (0,) * 4))
+    ctx = Context(t, LATTICE, [g], group=Group.from_generators(t, [(1, 0, 2, 3)]))
+    q = sympy.Symbol("q")
+    return ctx, [lambda s: {s["x1"]: 2 * q * s["x1"], s["x2"]: s["x2"] / (2 * q)}, _SWAP]
+
+
+def _parameter_denominator_table():
+    # the table of test_parameter_scaling_clears_denominators: x -> x/q puts
+    # q in the denominator of every image of a power of x
+    t = VariableTable(["x", "y"], [], ["q"])
+    g = ScalingAut(t, (1, 1, 1), ((0, 0, -1), (0, 0, 1), (0, 0, 0)))
+    q = sympy.Symbol("q")
+    return Context(t, LATTICE, [g]), [lambda s: {s["x"]: s["x"] / q, s["y"]: q * s["y"]}]
+
+
+@pytest.mark.parametrize("build", [
+    _diagonal_shift_table, _qscaling_table, _parameter_denominator_table,
+], ids=["shift", "q-scaling", "parameter-denominator"])
+def test_center_candidates_span_the_invariant_space(build):
+    ctx, substitutions = build()
+    degree = 3
+    syms, free, monos, want = _invariant_space(ctx.table, substitutions, degree)
+    got = []
+    for b in center_candidates(AlgebraSpec(ctx, {}, []), degree):
+        poly = sympy.Poly(sympy.cancel(to_sympy(b, syms)), *free)
+        got.append([poly.coeff_monomial(m) for m in monos])
+    # equal dimensions and a joint rank of that dimension: the same space
+    assert len(got) == len(want) == _rank(want) == _rank(got) == _rank(want + got)

@@ -705,7 +705,8 @@ class RatFunc:
                 return RatFunc.zero(self.nvars)
             # a common factor of num and b1*d1*g divides g; monic quotients keep _raw safe
             _, num, g = _cancel(num, g)
-            return RatFunc._raw(num, b1 * d1 * g)
+            den = b1 * d1 * g
+            return RatFunc._raw(num, den, _single_factor(den))
         fb, fd = Counter(dict(self.fac)), Counter(dict(other.fac))
         g = fb & fd  # gcd(b, d)
         if g:
@@ -733,8 +734,9 @@ class RatFunc:
         if self.fac is None or other.fac is None or not (self.fac or other.fac):
             _, a, d = _cancel(self.num, other.den)
             _, c, b = _cancel(other.num, self.den)
-            num, den = _monic_den(a * c, b * d)
-            return RatFunc._raw(num, den, _single_factor(den))
+            # monic denominators over the monic gcd: b*d is monic, and 1 when constant
+            den = b * d
+            return RatFunc._raw(a * c, den, _single_factor(den))
         a, fd = _strip_factors(self.num, dict(other.fac))
         c, fb = _strip_factors(other.num, dict(self.fac))
         b = self.den if c is other.num else _expand(fb, self.nvars)
@@ -778,7 +780,8 @@ class RatFunc:
         """The image of self under x_i -> coeffs[i] * x^exps[i] * x_i.  Distinct
         monomials have distinct images, so each term is written once.  The
         images of a coprime pair can share only a monomial, which the smallest
-        exponent of each variable removes; the factorization is then dropped."""
+        exponent of each variable removes; the factorization is then the one
+        ``_single_factor`` finds, if any."""
         nvars = self.nvars
 
         def image(p):
@@ -804,8 +807,8 @@ class RatFunc:
             fac = _map_factors(self, lambda p: Polynomial._raw(nvars, image(p)))
             if fac and any(min(e) < 0 for key, _ in fac for e, _ in key):
                 fac = None  # a negative power in a multiplier left a factor's image Laurent
-        num, den = (Polynomial._raw(nvars, t) for t in (num, den))
-        return RatFunc._raw(*_monic_den(num, den), fac)
+        num, den = _monic_den(*(Polynomial._raw(nvars, t) for t in (num, den)))
+        return RatFunc._raw(num, den, _single_factor(den) if fac is None else fac)
 
     @classmethod
     def zero(cls, nvars):

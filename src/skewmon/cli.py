@@ -65,7 +65,6 @@ class _Runtime:
         block = scenario.get("algebra")
         if not isinstance(block, dict) or "kind" not in block:
             raise ScenarioError("scenario needs an algebra block with a kind")
-        self.kind = block["kind"]
         self.algebra = self._build(block)
 
     def _build(self, block):
@@ -128,23 +127,19 @@ def _one_line(perm):
 
 # ---------------------------------------------------------------------------
 # Job handlers: (runtime, job) -> (Report, values dict).  Parameters named in
-# JOBS and INT_PARAMS are validated before any job runs.
+# JOBS and INT_PARAMS, and the algebra kinds in TABLE_KINDS, are validated
+# before any job runs.
 # ---------------------------------------------------------------------------
 
 
 def _job_verify_gwa(rt, job):
-    if rt.gwa_spec is None:
-        raise ScenarioError("verify_gwa needs a gwa algebra block")
     return verify_gwa(rt.gwa_spec), {}
 
 
 def _job_verify_relations(rt, job):
     rels = job.get("relations", "gl")
-    if rels == "gl":
-        if rt.kind != "gt":
-            raise ScenarioError("verify_relations: the default gl table needs a gt algebra block")
-        n = max(int(name[1]) for name in rt.algebra.generators if name.startswith("E"))
-        rels = gl_relation_set(n)
+    if rels == "gl":  # gl_n on a gt algebra: the n variables of row n are the fixed ones
+        rels = gl_relation_set(rt.algebra.context.table.n_fixed)
     return verify_relations(rt.algebra, rels), {}
 
 
@@ -198,8 +193,6 @@ def _job_standard_identity_repeated(rt, job):
 
 
 def _job_theta_relations(rt, job):
-    if rt.kind != "nilhecke":
-        raise ScenarioError("theta_relations needs a nilhecke algebra block")
     n = rt.algebra.context.table.nvars
     return verify_relations(rt.algebra, theta_relation_set(n)), {}
 
@@ -254,6 +247,14 @@ JOBS = {
     "monoid_growth": (_job_monoid_growth, ("generators", "k_max")),
 }
 
+#: relation op -> (the algebra kind its built-in table needs, the error otherwise);
+#: an inline verify_relations table needs no particular kind
+TABLE_KINDS = {
+    "verify_gwa": ("gwa", "verify_gwa needs a gwa algebra block"),
+    "verify_relations": ("gt", "verify_relations: the default gl table needs a gt algebra block"),
+    "theta_relations": ("nilhecke", "theta_relations needs a nilhecke algebra block"),
+}
+
 #: integer parameter -> lower bound (None: any integer); checked wherever the
 #: parameter appears in a job
 INT_PARAMS = {"count": 1, "seed": None, "degree": 2, "degree_bound": 0, "k_max": 2}
@@ -268,10 +269,10 @@ def _job_prefix(index, job):
     return f"job {index} {job.get('name', job.get('op'))!r} ({job.get('op')})"
 
 
-def _validate_job(index, job):
+def _validate_job(index, job, kind):
     """Check one job against JOBS, INT_PARAMS, the list parameters, the shape
-    of inline relations and the expectation keys; raise ScenarioError naming
-    the job and the parameter."""
+    of inline relations, TABLE_KINDS for the algebra ``kind`` and the
+    expectation keys; raise ScenarioError naming the job and the parameter."""
     if not isinstance(job, dict):
         raise ScenarioError(f"job {index} must be a JSON object")
     op = job.get("op")
@@ -309,6 +310,10 @@ def _validate_job(index, job):
         raise ScenarioError(
             f"{where}: relations must be \"gl\" or a list of objects with name and expr"
         )
+    if op in TABLE_KINDS and (op != "verify_relations" or relations == "gl"):
+        needed, message = TABLE_KINDS[op]
+        if kind != needed:
+            raise ScenarioError(f"{where}: {message}")
     expect = job.get("expect", "pass")
     if expect == "pass":
         return
@@ -347,8 +352,10 @@ def run_scenario(scenario, cap_dim=DEFAULT_DIM_CAP, cap_group=DEFAULT_GROUP_CAP)
     if not isinstance(scenario, dict):
         raise ScenarioError("scenario must be a JSON object")
     job_list = scenario.get("jobs", [])
+    block = scenario.get("algebra")
+    kind = block.get("kind") if isinstance(block, dict) else None
     for index, job in enumerate(job_list, start=1):
-        _validate_job(index, job)
+        _validate_job(index, job, kind)
     rt = _Runtime(scenario, cap_dim, cap_group)
 
     def run_one(index, job):

@@ -36,9 +36,10 @@ from .actions import (
     VariableTable,
     _perm_inverse,
 )
+from .analysis import comm, gen, prod, sum_of, verify_relations
 from .errors import PreconditionError, UnsupportedModeError
 from .reports import Report
-from .skewring import SkewElement, commutator
+from .skewring import SkewElement
 
 
 @dataclass
@@ -167,62 +168,45 @@ def gwa_embed(spec):
     return AlgebraSpec(ctx, gens, gamma)
 
 
+def _gwa_relations(spec, ctx):
+    """The defining relations of the GWA as a relation table for
+    ``verify_relations`` over ``ctx``, the context of ``gwa_embed(spec)``.
+
+    Each expression is lhs - rhs.  A computed coefficient (a base variable,
+    its images under sigma_i and sigma_i^-1, a_i and sigma_i(a_i)) is a
+    ``{"terms": ...}`` literal, so the table is plain JSON.
+    """
+    table = ctx.table
+    base = [(table.names[v], RatFunc.variable(table.nvars, v))
+            for v in range(table.n_acted + table.n_fixed)]
+
+    def lit(r):
+        return SkewElement.scalar(ctx, r).to_json()
+
+    rels = []
+    for i, (s, a) in enumerate(zip(spec.sigma, spec.a), start=1):
+        xp, xm, s_inv = gen(f"X{i}+"), gen(f"X{i}-"), s.inverse()
+        for name, d in base:
+            rels.append((f"X{i}+ {name} = sigma_{i}({name}) X{i}+",
+                         sum_of(prod(xp, lit(d)), prod(lit(-s.apply(d)), xp))))
+            rels.append((f"X{i}- {name} = sigma_{i}^-1({name}) X{i}-",
+                         sum_of(prod(xm, lit(d)), prod(lit(-s_inv.apply(d)), xm))))
+        rels.append((f"X{i}- X{i}+ = a_{i}", sum_of(prod(xm, xp), lit(-a))))
+        rels.append((f"X{i}+ X{i}- = sigma_{i}(a_{i})", sum_of(prod(xp, xm), lit(-s.apply(a)))))
+    for i in range(1, spec.rank + 1):
+        for j in range(1, spec.rank + 1):
+            if i != j:
+                pairs = [("+", "+"), ("-", "-")] if i < j else []
+                for si, sj in pairs + [("+", "-")]:
+                    rels.append((f"[X{i}{si}, X{j}{sj}] = 0",
+                                 comm(gen(f"X{i}{si}"), gen(f"X{j}{sj}"))))
+    return [{"name": name, "expr": expr} for name, expr in rels]
+
+
 def verify_gwa(spec):
     """Check every defining relation of the GWA against the embedding."""
     alg = gwa_embed(spec)
-    ctx = alg.context
-    report = Report("generalized Weyl algebra relations")
-    rank = spec.rank
-    base_vars = [
-        (ctx.table.names[i], RatFunc.variable(ctx.table.nvars, i))
-        for i in range(ctx.table.n_acted + ctx.table.n_fixed)
-    ]
-
-    for i in range(rank):
-        xp = alg.generator(f"X{i + 1}+")
-        xm = alg.generator(f"X{i + 1}-")
-        s = spec.sigma[i]
-        for name, d in base_vars:
-            report.check_zero(
-                f"X{i + 1}+ {name} = sigma_{i + 1}({name}) X{i + 1}+",
-                lambda xp=xp, d=d, s=s: (
-                    xp * SkewElement.scalar(ctx, d)
-                    - SkewElement.scalar(ctx, s.apply(d)) * xp
-                ),
-            )
-            report.check_zero(
-                f"X{i + 1}- {name} = sigma_{i + 1}^-1({name}) X{i + 1}-",
-                lambda xm=xm, d=d, s=s: (
-                    xm * SkewElement.scalar(ctx, d)
-                    - SkewElement.scalar(ctx, s.inverse().apply(d)) * xm
-                ),
-            )
-        report.check_zero(
-            f"X{i + 1}- X{i + 1}+ = a_{i + 1}",
-            lambda xp=xp, xm=xm, i=i: xm * xp - SkewElement.scalar(ctx, spec.a[i]),
-        )
-        report.check_zero(
-            f"X{i + 1}+ X{i + 1}- = sigma_{i + 1}(a_{i + 1})",
-            lambda xp=xp, xm=xm, i=i: (
-                xp * xm - SkewElement.scalar(ctx, spec.sigma[i].apply(spec.a[i]))
-            ),
-        )
-    for i in range(rank):
-        for j in range(rank):
-            if i == j:
-                continue
-            pairs = []
-            if i < j:
-                pairs = [("+", "+"), ("-", "-")]
-            pairs.append(("+", "-"))
-            for si, sj in pairs:
-                u = alg.generator(f"X{i + 1}{si}")
-                v = alg.generator(f"X{j + 1}{sj}")
-                report.check_zero(
-                    f"[X{i + 1}{si}, X{j + 1}{sj}] = 0",
-                    lambda u=u, v=v: commutator(u, v),
-                )
-    return report
+    return verify_relations(alg, _gwa_relations(spec, alg.context))
 
 
 def witten_woronowicz_spec():

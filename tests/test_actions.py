@@ -161,6 +161,15 @@ class TestAutomorphisms:
         assert image == (x * y + q * q).invert()
         assert image * (x * y + q * q) == t.poly("1")
 
+    def test_scaling_that_clears_the_denominator_keeps_the_empty_factorization(self):
+        # y -> q*y maps y/q to q*y/q: the shared monomial q leaves the
+        # canonical y, whose constant denominator has the empty factorization
+        t = VariableTable(["x", "y"], [], ["q"])
+        g = ScalingAut(t, (1, 1, 1), ((0, 0, 0), (0, 0, 1), (0, 0, 0)))
+        y, q = t.var("y"), t.var("q")
+        image = g.apply(y / q)
+        assert image == y and image.fac == ()
+
     def test_integer_scaling_inverse_and_negative_power_are_exact(self):
         t = VariableTable(["h"])
         g = ScalingAut(t, (2,), ((0,),))

@@ -232,6 +232,15 @@ class TestRatFunc:
         r = rf(X + ONE)
         assert r**-2 == (r * r).invert()
 
+    def test_sum_through_the_gcd_keeps_a_known_factorization(self):
+        # x^2 + 1 is not a base factor, so these sums cancel through poly_gcd
+        d = X * X + ONE
+        one = rf(ONE, d) + rf(X * X, d)
+        assert one == rf(ONE) and one.fac == ()
+        d = (X + ONE) * d
+        single = rf(ONE, d) + rf(X * X, d)
+        assert single == rf(X + ONE).invert() and single.fac == rf(X + ONE).invert().fac
+
 
 class TestSubstitute:
     def test_shift(self):

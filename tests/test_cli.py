@@ -301,6 +301,32 @@ class TestJobValidation:
             run_scenario(scenario)
         assert calls == []
 
+    @pytest.mark.parametrize("algebra, op, message", [
+        ({"kind": "gt", "n": 2}, "theta_relations",
+         "theta_relations needs a nilhecke algebra block"),
+        ({"kind": "gt", "n": 2}, "verify_gwa", "verify_gwa needs a gwa algebra block"),
+        ({"kind": "gwa", "preset": "witten-woronowicz"}, "verify_relations",
+         "verify_relations: the default gl table needs a gt algebra block"),
+    ], ids=["theta-on-gt", "gwa-on-gt", "gl-on-gwa"])
+    def test_relation_op_on_the_wrong_kind_fails_before_any_job_runs(
+        self, monkeypatch, tmp_path, capsys, algebra, op, message
+    ):
+        calls = []
+        handler, params = cli.JOBS["invariance"]
+
+        def recorded(rt, job):
+            calls.append(job["name"])
+            return handler(rt, job)
+
+        monkeypatch.setitem(cli.JOBS, "invariance", (recorded, params))
+        jobs = [{"name": "first", "op": "invariance"}, {"name": "second", "op": op}]
+        with pytest.raises(ScenarioError) as caught:
+            run_scenario({"algebra": algebra, "jobs": jobs})
+        assert str(caught.value) == f"job 2 'second' ({op}): {message}"
+        err = self._rejected(tmp_path, capsys, jobs, algebra=algebra)
+        assert err == f"error: invalid scenario: job 2 'second' ({op}): {message}\n"
+        assert calls == []
+
     @pytest.mark.parametrize("job, message", [
         ({"op": "growth_profile", "frame": 5, "k_max": 2}, "frame must be a list, got 5"),
         ({"op": "standard_identity", "elements": "E12"}, "elements must be a list, got 'E12'"),

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -6,8 +7,10 @@ from skewmon.arith import Polynomial, QQ, RatFunc, poly_to_text
 from skewmon.actions import MonoidElement, ScalingAut, ShiftAut, VariableTable
 from skewmon.errors import PreconditionError, ResourceCapError, UnsupportedModeError
 from skewmon.skewring import SkewElement, commutator, is_invariant, kpart
+from skewmon.cli import run_scenario
 from skewmon.constructors import (
     GWASpec,
+    _gwa_relations,
     build_qshift_algebra,
     build_shift_algebra,
     demazure_elements,
@@ -184,6 +187,30 @@ class TestGWA:
         )
         rep = verify_gwa(spec)
         assert rep.passed, rep.failures()
+        # per sigma_i: the base-variable pairs, then a_i and sigma_i(a_i); then
+        # the commutators, with ++ and -- only for i < j
+        assert [c.name for c in rep.checks] == [
+            "X1+ u = sigma_1(u) X1+", "X1- u = sigma_1^-1(u) X1-",
+            "X1+ v = sigma_1(v) X1+", "X1- v = sigma_1^-1(v) X1-",
+            "X1- X1+ = a_1", "X1+ X1- = sigma_1(a_1)",
+            "X2+ u = sigma_2(u) X2+", "X2- u = sigma_2^-1(u) X2-",
+            "X2+ v = sigma_2(v) X2+", "X2- v = sigma_2^-1(v) X2-",
+            "X2- X2+ = a_2", "X2+ X2- = sigma_2(a_2)",
+            "[X1+, X2+] = 0", "[X1-, X2-] = 0", "[X1+, X2-] = 0", "[X2+, X1-] = 0",
+        ]
+
+    def test_relation_table_is_plain_json_and_runs_inline(self):
+        spec = witten_woronowicz_spec()
+        table = _gwa_relations(spec, gwa_embed(spec).context)
+        table = json.loads(json.dumps(table))
+        scenario = {"algebra": {"kind": "gwa", "preset": "witten-woronowicz"},
+                    "jobs": [{"op": "verify_gwa"},
+                             {"op": "verify_relations", "relations": table}]}
+        built_in, inline = run_scenario(scenario)["jobs"]
+        assert [(c["name"], c["status"]) for c in inline["checks"]] == [
+            (c["name"], c["status"]) for c in built_in["checks"]
+        ]
+        assert len(inline["checks"]) == 6 and inline["status"] == "pass"
 
 
 class TestGT:

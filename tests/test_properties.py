@@ -321,8 +321,9 @@ def assert_factored(r):
 
 
 def _dropped(r):
-    """r with its factorization dropped, so arithmetic on it runs through poly_gcd."""
-    return RatFunc._raw(r.num, r.den)
+    """r with its factorization dropped, so arithmetic on it runs through
+    poly_gcd; a constant denominator keeps its empty one, as RatFunc._raw requires."""
+    return RatFunc._raw(r.num, r.den, () if r.den.is_constant() else None)
 
 
 @fast
@@ -346,10 +347,14 @@ def test_factored_arithmetic_agrees_with_the_gcd_path(pairs, k, offsets, perm, s
     for got, want in kept:
         assert got.fac is not None and got == want
         assert_factored(got)
-    # these keep a factorization only when every factor's image is a base factor
+    # these keep a factorization only when every factor's image is a base
+    # factor, or when a factored operand meets one without a factorization
     maybe = [(r.invert(), R.invert()), (r**k, R**k), (r / s, R / S),
-             (scaling.apply(r), scaling.apply(R))]
+             (scaling.apply(r), scaling.apply(R)),
+             (r * S, R * S), (R * s, R * S), (r + S, R + S), (R + s, R + S)]
     for got, want in maybe:
         assert got == want
         if got.fac is not None:
             assert_factored(got)
+    for x in [x for pair in kept + maybe for x in pair]:
+        assert x.fac == () or not x.den.is_constant()

@@ -11,7 +11,7 @@ substitutions.  Supported groups are finite groups of variable permutations,
 enumerated eagerly at construction up to a hard cap.
 """
 
-from .arith import QQ, Polynomial, RatFunc, poly_from_text, substitute
+from .arith import QQ, RatFunc, poly_from_text, substitute
 from .errors import (
     ContextMismatchError,
     NormalizationViolationError,
@@ -112,7 +112,7 @@ class Automorphism:
 class ShiftAut(Automorphism):
     """x_i -> x_i + offset_i on acted variables; everything else fixed."""
 
-    __slots__ = ("table", "offsets", "images")
+    __slots__ = ("table", "offsets", "shifts")
 
     def __init__(self, table, offsets):
         if len(offsets) != table.nvars:
@@ -123,15 +123,10 @@ class ShiftAut(Automorphism):
                 raise PreconditionError("shift offset on a non-acted variable")
         self.table = table
         self.offsets = offsets
-        self.images = {i: Polynomial.variable(table.nvars, i) + Polynomial.const(table.nvars, c)
-                       for i, c in enumerate(offsets) if c != 0}
+        self.shifts = tuple((i, c) for i, c in enumerate(offsets) if c != 0)
 
     def apply_poly(self, p):
-        # one variable at a time is exact here: each image involves only its own variable
-        for i, image in self.images.items():
-            if p.degree_in(i) > 0:
-                p = p.substitute_var(i, image)
-        return p
+        return p.shift_vars(self.shifts)
 
     def apply(self, f):
         return f.map(self.apply_poly)
@@ -498,17 +493,20 @@ class Context:
 
         A lattice key v names the product of the generator powers
         sigma_i^{v_i}; it is built once, from the generators' own ``power``.
+        A finite-group key names its group element.  Either automorphism maps
+        f once: ``RatFunc.image`` keeps the result on f.
         """
         if self.mode == FINITE_GROUP:
-            return self.key_group.element_of(key).apply(f)
-        if not any(key):
+            aut = self.key_group.element_of(key)
+        elif not any(key):
             return f
-        aut = self._auts.get(key)
-        if aut is None:
-            factors = tuple(self.generators[i].power(k) for i, k in enumerate(key) if k)
-            aut = factors[0] if len(factors) == 1 else _ChainAut(self.table, factors)
-            self._auts[key] = aut
-        return aut.apply(f)
+        else:
+            aut = self._auts.get(key)
+            if aut is None:
+                factors = tuple(self.generators[i].power(k) for i, k in enumerate(key) if k)
+                aut = factors[0] if len(factors) == 1 else _ChainAut(self.table, factors)
+                self._auts[key] = aut
+        return f.image(aut)
 
     def conjugate_key(self, g, key):
         """g.key = g key g^{-1} for a PermutationAut g, verified symbolically.

@@ -106,9 +106,10 @@ def evaluate_expression(spec, expr):
             total = total + evaluate_expression(spec, inner)
         return total
     if "prod" in expr:
-        out = SkewElement.one(ctx)
-        for inner in expr["prod"]:
-            out = out * evaluate_expression(spec, inner)
+        factors = [evaluate_expression(spec, inner) for inner in expr["prod"]]
+        out = factors[0] if factors else SkewElement.one(ctx)
+        for u in factors[1:]:
+            out = out * u
         return out
     if "comm" in expr:
         a, b = expr["comm"]

@@ -39,6 +39,14 @@ automorphisms of the polynomial ring: shifts and permutations) and
 ``RatFunc.scale_vars`` (monomial scalings), and a hyperplane ``h = c`` is the
 base factor ``(h - c).monic()``.
 
+A shift x_i -> x_i + a is a Taylor shift (``Polynomial.shift_vars``): the
+terms are grouped into columns {degree in x_i: coefficient} keyed by the other
+exponents, and a column of degree n is shifted in place by n synthetic
+divisions, the classical O(n^2) method (von zur Gathen & Gerhard, ISSAC 1997).
+A ``RatFunc`` is immutable, so ``RatFunc.image(aut)`` keeps its image under
+each automorphism object it has been mapped by; ``Context.act_key`` goes
+through it, and a coefficient met again under the same key is not mapped again.
+
 GCD is computed exactly by content/primitive-part recursion with the
 subresultant pseudo-remainder sequence (Collins 1967; Brown 1971) in a chosen
 main variable v, on views ``{degree in v: coefficient}`` of the operands.  Its
@@ -350,6 +358,32 @@ class Polynomial:
                 result = result + by_deg[d]
         return result
 
+    def shift_vars(self, shifts):
+        """The image under x_i -> x_i + a for the pairs ``(i, a)`` of
+        ``shifts``, one variable at a time: each column of degree n in x_i is
+        Taylor-shifted in place by n synthetic divisions by x_i - a."""
+        terms = self.terms
+        for i, a in shifts:
+            if not any(e[i] for e in terms):
+                continue
+            cols = {}
+            for e, c in terms.items():
+                cols.setdefault((e[:i], e[i + 1 :]), {})[e[i]] = c
+            out = {}
+            for (head, tail), col in cols.items():
+                n = max(col)
+                col = [col.get(j, 0) for j in range(n + 1)]
+                for k in range(n):
+                    for j in range(n - 1, k - 1, -1):
+                        col[j] += a * col[j + 1]
+                for j, c in enumerate(col):
+                    if c:
+                        out[head + (j,) + tail] = (
+                            c.numerator if type(c) is Fraction and c.denominator == 1 else c
+                        )
+            terms = out
+        return self if terms is self.terms else Polynomial._raw(self.nvars, terms)
+
     def permute_vars(self, images):
         """Apply the variable permutation ``i -> images[i]`` to exponents."""
         out = {}
@@ -622,9 +656,14 @@ class RatFunc:
     denominator are coprime.  Structural equality of canonical forms is
     semantic equality.  ``fac`` holds the denominator as ``(factor key,
     exponent)`` pairs over base factors, or None when it is not known.
+
+    A RatFunc is never mutated after construction.  The one slot that changes
+    is the image cache of ``image``, set on first use, which maps an
+    automorphism object to the image of self under it; that is sound because
+    the value it is computed from never changes.
     """
 
-    __slots__ = ("num", "den", "fac")
+    __slots__ = ("num", "den", "fac", "_images")
 
     def __init__(self, num, den=None):
         if den is None:
@@ -775,6 +814,18 @@ class RatFunc:
             return RatFunc._raw(num, self.den, self.fac)
         num, den = _monic_den(num, image(self.den))
         return RatFunc._raw(num, den, _map_factors(self, image))
+
+    def image(self, aut):
+        """``aut.apply(self)``, computed once per automorphism object and kept
+        for as long as self lives."""
+        try:
+            cache = self._images
+        except AttributeError:  # the slot is left unset until the first image
+            cache = self._images = {}
+        out = cache.get(aut)
+        if out is None:
+            out = cache[aut] = aut.apply(self)
+        return out
 
     def scale_vars(self, coeffs, exps):
         """The image of self under x_i -> coeffs[i] * x^exps[i] * x_i.  Distinct

@@ -14,6 +14,7 @@ from skewmon.actions import (
     ScalingAut,
     ShiftAut,
     VariableTable,
+    _ChainAut,
     act,
     compose,
     conjugate,
@@ -32,6 +33,7 @@ from skewmon.constructors import (
     build_qshift_algebra,
     build_shift_algebra,
     gt_embedding,
+    symmetric_group_context,
 )
 from skewmon.skewring import is_invariant
 
@@ -436,6 +438,61 @@ class TestLatticeAction:
         with pytest.raises(PreconditionError, match="must commute"):
             GWASpec(t, gens, (x, x))
         assert mixed_context().rank == 2
+
+
+def _counted_applies(monkeypatch, *classes):
+    """Record every (automorphism, argument) pair that ``apply`` of the given
+    classes sees; the list keeps the arguments alive, so identities stay
+    distinct."""
+    seen = []
+    for cls in classes:
+        def counted(self, f, orig=cls.apply):
+            seen.append((self, f))
+            return orig(self, f)
+
+        monkeypatch.setattr(cls, "apply", counted)
+    return seen
+
+
+class TestImageMemo:
+    @pytest.mark.parametrize("build, keys", [
+        (lambda: build_shift_algebra(2, 2), [(1, 0), (0, -1), (2, 1), (-1, 3)]),
+        (lambda: symmetric_group_context(3), [(1, 0, 2), (2, 0, 1), (0, 1, 2)]),
+    ], ids=["lattice", "nilhecke"])
+    def test_each_automorphism_maps_a_coefficient_once(self, monkeypatch, build, keys):
+        ctx = build()
+        rng = random.Random(7)
+        fs = [_rand_rf(rng, ctx) for _ in range(3)]
+        want = {(key, i): ctx.act_key(key, f) for key in keys for i, f in enumerate(fs)}
+        ctx = build()
+        seen = _counted_applies(monkeypatch, ShiftAut, PermutationAut, _ChainAut)
+        got = {(key, i): ctx.act_key(key, f) for key in keys for i, f in enumerate(fs)}
+        first_round = len(seen)
+        for _ in range(3):
+            for key in keys:
+                for i, f in enumerate(fs):
+                    assert ctx.act_key(key, f) is got[key, i]
+        assert len(seen) == first_round
+        assert got == want
+        # no automorphism was ever applied twice to one object
+        assert len({(id(a), id(f)) for a, f in seen}) == len(seen)
+
+    def test_one_coefficient_in_two_contexts_gets_each_image(self):
+        t = VariableTable(["x"])
+        by_one = Context(t, LATTICE, [ShiftAut(t, [QQ(-1)])])
+        by_two = Context(t, LATTICE, [ShiftAut(t, [QQ(-2)])])
+        x = t.var("x")
+        for _ in range(2):
+            assert by_one.act_key((1,), x) == t.poly("x - 1")
+            assert by_two.act_key((1,), x) == t.poly("x - 2")
+            assert by_two.act_key((-1,), x) == t.poly("x + 2")
+
+    def test_identity_key_returns_the_coefficient_itself(self):
+        ctx = build_shift_algebra(2, 2)
+        f = _rand_rf(random.Random(3), ctx)
+        assert ctx.act_key((0, 0), f) is f
+        ctx.act_key((1, 0), f)
+        assert ctx.act_key((0, 0), f) is f
 
 
 def _rand_rf(rng, ctx):

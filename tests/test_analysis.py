@@ -109,6 +109,28 @@ class TestVerifyRelations:
         with pytest.raises(DefinitionError):
             evaluate_expression(spec, {"mystery": []})
 
+    def test_prod_makes_one_product_per_factor_after_the_first(self, monkeypatch):
+        from skewmon.analysis import evaluate_expression, prod
+
+        ctx = build_shift_algebra(1, 1)
+        eps = SkewElement.generator(ctx, (1,))
+        x = SkewElement.scalar(ctx, ctx.table.var("x1"))
+        spec = AlgebraSpec(ctx, {"eps": eps, "x": x}, [])
+        want = eps * x * eps
+        products = []
+        mul = SkewElement.__mul__
+
+        def counted(a, b):
+            products.append(b)
+            return mul(a, b)
+
+        monkeypatch.setattr(SkewElement, "__mul__", counted)
+        assert evaluate_expression(spec, prod(gen("eps"), gen("x"), gen("eps"))) == want
+        assert len(products) == 2
+        assert evaluate_expression(spec, prod(gen("x"))) is x
+        assert evaluate_expression(spec, prod()) == SkewElement.one(ctx)
+        assert len(products) == 2
+
 
     def test_theta_relation_table_over_s4(self):
         thetas = demazure_elements(4)

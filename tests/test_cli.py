@@ -301,6 +301,24 @@ class TestJobValidation:
             run_scenario(scenario)
         assert calls == []
 
+    def _fails_before_any_job_runs(self, monkeypatch, tmp_path, capsys, algebra, jobs,
+                                   message):
+        calls = []
+        op = jobs[0]["op"]
+        handler, params = cli.JOBS[op]
+
+        def recorded(rt, job):
+            calls.append(job["name"])
+            return handler(rt, job)
+
+        monkeypatch.setitem(cli.JOBS, op, (recorded, params))
+        with pytest.raises(ScenarioError) as caught:
+            run_scenario({"algebra": algebra, "jobs": jobs})
+        assert str(caught.value) == message
+        err = self._rejected(tmp_path, capsys, jobs, algebra=algebra)
+        assert err == f"error: invalid scenario: {message}\n"
+        assert calls == []
+
     @pytest.mark.parametrize("algebra, op, message", [
         ({"kind": "gt", "n": 2}, "theta_relations",
          "theta_relations needs a nilhecke algebra block"),
@@ -311,21 +329,19 @@ class TestJobValidation:
     def test_relation_op_on_the_wrong_kind_fails_before_any_job_runs(
         self, monkeypatch, tmp_path, capsys, algebra, op, message
     ):
-        calls = []
-        handler, params = cli.JOBS["invariance"]
-
-        def recorded(rt, job):
-            calls.append(job["name"])
-            return handler(rt, job)
-
-        monkeypatch.setitem(cli.JOBS, "invariance", (recorded, params))
         jobs = [{"name": "first", "op": "invariance"}, {"name": "second", "op": op}]
-        with pytest.raises(ScenarioError) as caught:
-            run_scenario({"algebra": algebra, "jobs": jobs})
-        assert str(caught.value) == f"job 2 'second' ({op}): {message}"
-        err = self._rejected(tmp_path, capsys, jobs, algebra=algebra)
-        assert err == f"error: invalid scenario: job 2 'second' ({op}): {message}\n"
-        assert calls == []
+        self._fails_before_any_job_runs(monkeypatch, tmp_path, capsys, algebra, jobs,
+                                        f"job 2 'second' ({op}): {message}")
+
+    def test_default_gl_table_fails_before_a_passing_verify_gwa_runs(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        jobs = [{"name": "first", "op": "verify_gwa"},
+                {"name": "second", "op": "verify_relations"}]
+        self._fails_before_any_job_runs(
+            monkeypatch, tmp_path, capsys, {"kind": "gwa", "preset": "witten-woronowicz"}, jobs,
+            "job 2 'second' (verify_relations): "
+            "verify_relations: the default gl table needs a gt algebra block")
 
     @pytest.mark.parametrize("job, message", [
         ({"op": "growth_profile", "frame": 5, "k_max": 2}, "frame must be a list, got 5"),
@@ -353,15 +369,12 @@ class TestJobValidation:
         assert err == f"error: invalid scenario: job 2 'shape' ({job['op']}): {message}\n"
 
     @pytest.mark.parametrize("algebra, first, second, error, message", [
-        ({"kind": "gwa", "preset": "witten-woronowicz"}, {"op": "verify_gwa"},
-         {"op": "verify_relations"}, ScenarioError,
-         "verify_relations: the default gl table needs a gt algebra block"),
         ({"kind": "gt", "n": 2},
          {"op": "growth_profile", "frame": [{"const": "1"}, "E12"], "k_max": 2},
          {"op": "growth_profile", "frame": [{"const": "1"}, "E13"], "k_max": 2},
          DefinitionError,
          "unknown generator 'E13'"),
-    ], ids=["default-gl-table", "unknown-generator"])
+    ], ids=["unknown-generator"])
     def test_error_raised_inside_a_job_names_the_job(self, tmp_path, capsys, algebra, first,
                                                       second, error, message):
         second = dict(second, name="second")

@@ -103,6 +103,90 @@ def test_substitute_rational_images():
     assert not mismatches, f"{len(mismatches)} of {CASES} disagree, e.g. {mismatches[:3]}"
 
 
+def _shift_mismatches(got, p, shifts, syms=SYMS):
+    """Where ``got`` disagrees with ``p`` shifted by x_i -> x_i + a through
+    ``substitute_var`` and through sympy, or keeps an integral Fraction."""
+    out = []
+    want = p
+    for i, a in shifts:
+        image = Polynomial.variable(p.nvars, i) + Polynomial.const(p.nvars, a)
+        want = want.substitute_var(i, image)
+    if got != want:
+        out.append("substitute_var")
+    oracle = sympy.expand(to_sympy(p, syms).subs(
+        {syms[i]: syms[i] + sympy.Rational(a.numerator, a.denominator) for i, a in shifts},
+        simultaneous=True,
+    ))
+    if sympy.expand(to_sympy(got, syms) - oracle) != 0:
+        out.append("sympy")
+    if any(type(c) is not int and c.denominator == 1 for c in got.terms.values()):
+        out.append("integral Fraction")
+    return out
+
+
+def test_shift_vars():
+    # a Taylor shift of each column, against Horner substitution and sympy;
+    # offsets are integers or Fractions, and one to three variables move
+    rng = random.Random(83)
+    mismatches = []
+    for _ in range(CASES):
+        p = rand_poly(rng, max_deg=rng.randint(0, 5), nterms=5)
+        if rng.random() < 0.5:
+            p = p.scale(Fraction(rng.randint(1, 5), rng.randint(1, 5)))
+        moved = rng.sample(range(NV), rng.randint(1, NV))
+        shifts = tuple(
+            (i, rng.choice([rng.randint(-3, 3) or 1, Fraction(rng.randint(-5, 5) or 1, 2)]))
+            for i in moved
+        )
+        got = p.shift_vars(shifts)
+        bad = _shift_mismatches(got, p, shifts)
+        if bad:
+            mismatches.append((to_sympy(p), shifts, bad))
+    assert not mismatches, f"{len(mismatches)} of {CASES} disagree, e.g. {mismatches[:3]}"
+
+
+def test_shift_vars_edge_cases():
+    x0, x1 = (Polynomial.variable(NV, i) for i in range(2))
+    zero, three = Polynomial.zero(NV), Polynomial.const(NV, 3)
+    assert zero.shift_vars(((0, 1),)) == zero
+    assert three.shift_vars(((0, 1), (1, Fraction(1, 2)))) == three
+    # two variables in one call; half-integer offsets, integral results
+    p = (x0 * x1).scale(4)
+    shifts = ((0, Fraction(1, 2)), (1, Fraction(-1, 2)))
+    got = p.shift_vars(shifts)
+    assert not _shift_mismatches(got, p, shifts)
+    assert got.terms == {(1, 1, 0): 4, (0, 1, 0): 2, (1, 0, 0): -2, (0, 0, 0): -1}
+    assert all(type(c) is int for c in got.terms.values())
+    # a polynomial free of the shifted variables comes back as itself
+    q = rand_poly(random.Random(5)).substitute_var(0, three)
+    assert q.shift_vars(((0, 7),)) is q
+
+
+def test_shift_aut_moves_only_the_acted_variables():
+    # acted x0, x1; fixed y; parameter q: a shift never touches y or q
+    t = VariableTable(["x0", "x1"], ["y"], ["q"])
+    syms = sympy.symbols("x0 x1 y q")
+    rng = random.Random(89)
+    mismatches = []
+    for _ in range(CASES):
+        offsets = (rng.randint(-2, 2), Fraction(rng.randint(-3, 3), 2), 0, 0)
+        aut = ShiftAut(t, offsets)
+        assert aut.shifts == tuple((i, c) for i, c in enumerate(offsets) if c)
+        terms = {}
+        for _ in range(4):
+            e = tuple(rng.randint(0, 3) for _ in range(4))
+            terms[e] = terms.get(e, 0) + rng.randint(-4, 4)
+        p = Polynomial(4, terms)
+        got = aut.apply_poly(p)
+        bad = _shift_mismatches(got, p, aut.shifts, syms)
+        if bad:
+            mismatches.append((to_sympy(p, syms), offsets, bad))
+        fixed = Polynomial(4, {(0, 0) + e[2:]: c for e, c in terms.items()})
+        if aut.apply_poly(fixed) is not fixed:
+            mismatches.append((to_sympy(fixed, syms), offsets, ["moved y or q"]))
+    assert not mismatches, f"{len(mismatches)} of {CASES} disagree, e.g. {mismatches[:3]}"
+
+
 def test_poly_gcd():
     rng = random.Random(47)
     mismatches = []

@@ -79,8 +79,8 @@ def sum_of(*args):
 
 def evaluate_expression(spec, expr):
     """The skew element that ``expr`` (see above) denotes over ``spec``; a
-    generator name missing from ``spec.generators``, or a node of any other
-    form, raises DefinitionError."""
+    generator name missing from ``spec.generators``, a node of any other
+    form, or a node whose operands do not parse raises DefinitionError."""
     ctx = spec.context
     if isinstance(expr, str):
         expr = {"gen": expr}
@@ -91,32 +91,38 @@ def evaluate_expression(spec, expr):
         if name not in spec.generators:
             raise DefinitionError(f"unknown generator {name!r}")
         return spec.generators[name]
-    if "terms" in expr:
-        return SkewElement.from_json(ctx, expr)
-    if "const" in expr:
-        return SkewElement.scalar(ctx, RatFunc.const(ctx.table.nvars, expr["const"]))
+    # reading the node's own operands; evaluating them comes after
+    try:
+        if "terms" in expr:
+            return SkewElement.from_json(ctx, expr)
+        if "const" in expr:
+            return SkewElement.scalar(ctx, RatFunc.const(ctx.table.nvars, expr["const"]))
+        if "scale" in expr:
+            c, inner = expr["scale"]
+            scalar = SkewElement.scalar(ctx, RatFunc.const(ctx.table.nvars, c))
+        elif "sum" in expr or "prod" in expr:
+            operands = list(expr["sum"] if "sum" in expr else expr["prod"])
+        elif "comm" in expr:
+            a, b = expr["comm"]
+            operands = [a, b]
+        else:
+            raise DefinitionError(f"unrecognized expression node {expr!r}")
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise DefinitionError(f"malformed expression node {expr!r}: {exc!r}") from exc
     if "scale" in expr:
-        c, inner = expr["scale"]
-        return SkewElement.scalar(
-            ctx, RatFunc.const(ctx.table.nvars, c)
-        ) * evaluate_expression(spec, inner)
+        return scalar * evaluate_expression(spec, inner)
+    values = [evaluate_expression(spec, inner) for inner in operands]
     if "sum" in expr:
         total = SkewElement.zero(ctx)
-        for inner in expr["sum"]:
-            total = total + evaluate_expression(spec, inner)
+        for u in values:
+            total = total + u
         return total
     if "prod" in expr:
-        factors = [evaluate_expression(spec, inner) for inner in expr["prod"]]
-        out = factors[0] if factors else SkewElement.one(ctx)
-        for u in factors[1:]:
+        out = values[0] if values else SkewElement.one(ctx)
+        for u in values[1:]:
             out = out * u
         return out
-    if "comm" in expr:
-        a, b = expr["comm"]
-        return commutator(
-            evaluate_expression(spec, a), evaluate_expression(spec, b)
-        )
-    raise DefinitionError(f"unrecognized expression node {expr!r}")
+    return commutator(*values)
 
 
 def verify_relations(spec, relations):
@@ -512,15 +518,14 @@ def standard_identity(n, elements):
         if u.context is not ctx:
             raise ContextMismatchError("elements from different contexts")
     total = SkewElement.zero(ctx)
-    prefix_cache = {(): SkewElement.one(ctx)}
+    # each prefix starts from its first element, so no product by one is made
+    prefix_cache = {(i,): u for i, u in enumerate(elements)}
     for perm in permutations(range(n)):
-        prod_elem = None
-        for cut in range(n, -1, -1):
+        for cut in range(n, 0, -1):
             prod_elem = prefix_cache.get(perm[:cut])
             if prod_elem is not None:
-                start = cut
                 break
-        for i in range(start, n):
+        for i in range(cut, n):
             prod_elem = prod_elem * elements[perm[i]]
             prefix_cache[perm[: i + 1]] = prod_elem
         total = total + (prod_elem if _parity(perm) == 0 else -prod_elem)

@@ -3,16 +3,24 @@ functions.
 
 Representation
 --------------
-A polynomial in ``n`` variables is a dict mapping exponent tuples (length
-``n``, one entry per variable) to nonzero rational coefficients::
+A polynomial in ``n`` variables is stored as integer numerators over one
+common denominator (the rational content of Geddes, Czapor & Labahn,
+*Algorithms for Computer Algebra*, 1992, ch. 7): a dict ``ints`` mapping
+exponent tuples (length ``n``, one entry per variable) to nonzero ``int``
+numerators, and a positive ``int`` ``denom``::
 
-    x0^2*x1 + 3/2   ->   {(2, 1): 1, (0, 0): 3/2}
+    x0^2*x1 + 3/2   ->   ints {(2, 1): 2, (0, 0): 3}, denom 2
 
-The zero polynomial is the empty dict.  Coefficients are exact rationals: a
-plain ``int`` when integral and a ``fractions.Fraction`` otherwise, so that
-the common integral case runs on native integer arithmetic.  Every
-coefficient division goes through ``QQ``, since ``int / int`` would be a
-float; no floating point enters anywhere in this module.
+The pair is kept in lowest terms: gcd(denom, every numerator) = 1, and the
+zero polynomial (the empty dict) has denom 1, so structural equality is
+equality.  The kernels (sums, products, scaling, shifts, factor stripping)
+run on plain ``int``s and reduce a result once, by a gcd pass over its
+numerators that stops when the gcd reaches 1; with denom 1 there is nothing
+to reduce.  ``Polynomial.terms`` is a read-only rational view
+``{exponents: QQ(numerator, denom)}``; exact rationals enter and leave
+through ``QQ`` (an ``int`` when integral, a ``fractions.Fraction``
+otherwise), since ``int / int`` would be a float; no floating point enters
+anywhere in this module.
 
 Term order is graded lexicographic (grlex) over the variable order of the
 table: compare total degree first, then the exponent tuples lexicographically.
@@ -29,9 +37,11 @@ irreducible, so distinct base factors are coprime.  The root-hyperplane forms
 ``x_i - x_j + c`` and ``q*x_i - x_j`` are base factors.  Between factored
 operands, the gcd of two denominators is an exponent minimum, and a numerator
 is cancelled by synthetic division in each factor's pivot variable, so no
-polynomial gcd runs.  The expanded ``den`` is kept as well and stays the
-canonical form; an operand without a factorization (``fac`` is None) takes
-the gcd path.
+polynomial gcd runs.  The division is by the factor's numerators, a primitive
+integer polynomial: by Gauss's lemma a quotient by it is integral, so every
+step is an exact integer division and the first inexact one proves a miss.
+The expanded ``den`` is kept as well and stays the canonical form; an operand
+without a factorization (``fac`` is None) takes the gcd path.
 
 This module is the only one that builds term dicts, canonical pairs and
 factorizations.  Automorphisms reach them through ``RatFunc.map`` (ring
@@ -88,6 +98,11 @@ def QQ(a, b=None):
 NEG_INF = float("-inf")
 
 
+def _grlex(e):
+    """Sort key of the grlex term order: total degree, then lexicographic."""
+    return (sum(e), e)
+
+
 def _accumulate(out, terms, coeff=None, shift=None):
     """Add ``(key, coefficient)`` terms into the sparse dict ``out`` in place
     and return it: coefficients times ``coeff`` and exponent keys moved by
@@ -108,13 +123,43 @@ def _accumulate(out, terms, coeff=None, shift=None):
     return out
 
 
-class Polynomial:
-    """Sparse multivariate polynomial with exact rational coefficients."""
+def _content(ints, g=0):
+    """gcd of ``g`` and every value of ``ints``, stopping once it is 1."""
+    for c in ints.values():
+        g = math.gcd(g, c)
+        if g == 1:
+            break
+    return g
 
-    __slots__ = ("nvars", "terms")
+
+def _reduced(nvars, ints, denom):
+    """The polynomial ``ints / denom`` in lowest terms; the numerators need
+    not be reduced against the positive ``denom``."""
+    if denom != 1:
+        g = _content(ints, denom)
+        if g != 1:
+            ints = {e: c // g for e, c in ints.items()}
+            denom //= g
+    return Polynomial._raw(nvars, ints, denom)
+
+
+def _over_lcm(terms):
+    """``(numerators, denominator)`` of a dict of nonzero exact rationals
+    (``int`` or ``Fraction``), over the lcm of their denominators.  That pair
+    is in lowest terms already: each prime power of the lcm divides some
+    term's denominator fully, and that term's numerator is prime to it."""
+    denom = math.lcm(*(c.denominator for c in terms.values()))
+    return {e: c.numerator * (denom // c.denominator) for e, c in terms.items()}, denom
+
+
+class Polynomial:
+    """Sparse multivariate polynomial with exact rational coefficients, stored
+    as integer numerators ``ints`` over one positive denominator ``denom`` in
+    lowest terms (see the module docstring)."""
+
+    __slots__ = ("nvars", "ints", "denom")
 
     def __init__(self, nvars, terms=None):
-        self.nvars = nvars
         clean = {}
         for exps, coeff in (terms or {}).items():
             if len(exps) != nvars or any(e < 0 for e in exps):
@@ -124,14 +169,17 @@ class Polynomial:
             coeff = QQ(coeff)
             if coeff != 0:
                 clean[tuple(exps)] = coeff
-        self.terms = clean
+        self.nvars = nvars
+        self.ints, self.denom = _over_lcm(clean)
 
     @classmethod
-    def _raw(cls, nvars, terms):
-        # internal fast path: caller guarantees normalized terms
+    def _raw(cls, nvars, ints, denom=1):
+        # internal fast path: caller guarantees nonzero int numerators in
+        # lowest terms over denom
         p = object.__new__(cls)
         p.nvars = nvars
-        p.terms = terms
+        p.ints = ints
+        p.denom = denom
         return p
 
     @classmethod
@@ -143,7 +191,7 @@ class Polynomial:
         c = QQ(c)
         if c == 0:
             return cls.zero(nvars)
-        return cls._raw(nvars, {(0,) * nvars: c})
+        return cls._raw(nvars, {(0,) * nvars: c.numerator}, c.denominator)
 
     @classmethod
     def variable(cls, nvars, i):
@@ -151,44 +199,53 @@ class Polynomial:
             raise ContextMismatchError(f"variable index {i} out of range")
         e = [0] * nvars
         e[i] = 1
-        return cls._raw(nvars, {tuple(e): QQ(1)})
+        return cls._raw(nvars, {tuple(e): 1})
 
     @classmethod
     def monomial(cls, nvars, exps, coeff=1):
         return cls(nvars, {tuple(exps): coeff})
 
+    @property
+    def terms(self):
+        """Read-only rational view ``{exponents: coefficient}``; with denom 1
+        it is the stored dict itself."""
+        denom = self.denom
+        if denom == 1:
+            return self.ints
+        return {e: QQ(c, denom) for e, c in self.ints.items()}
+
     # -- basic queries -------------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self.ints
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.ints)
 
     def is_constant(self):
-        return not self.terms or (len(self.terms) == 1 and not any(next(iter(self.terms))))
+        return not self.ints or (len(self.ints) == 1 and not any(next(iter(self.ints))))
 
     def constant_value(self):
-        if not self.terms:
+        if not self.ints:
             return Fraction(0)
-        ((exps, coeff),) = self.terms.items()
+        ((exps, coeff),) = self.ints.items()
         if any(exps):
             raise ValueError("polynomial is not constant")
-        return Fraction(coeff)
+        return Fraction(coeff, self.denom)
 
     def total_degree(self):
-        if not self.terms:
+        if not self.ints:
             return NEG_INF
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self.ints)
 
     def degree_in(self, var):
-        if not self.terms:
+        if not self.ints:
             return NEG_INF
-        return max(e[var] for e in self.terms)
+        return max(e[var] for e in self.ints)
 
     def variables_present(self):
         present = set()
-        for e in self.terms:
+        for e in self.ints:
             for i, d in enumerate(e):
                 if d:
                     present.add(i)
@@ -196,10 +253,10 @@ class Polynomial:
 
     def leading_term(self):
         """Return ``(exponents, coefficient)`` of the grlex-leading term."""
-        if not self.terms:
+        if not self.ints:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=lambda t: (sum(t), t))
-        return e, self.terms[e]
+        e = max(self.ints, key=_grlex)
+        return e, QQ(self.ints[e], self.denom)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -207,61 +264,102 @@ class Polynomial:
         if self.nvars != other.nvars:
             raise ContextMismatchError("polynomials over different variable tables")
 
+    def _combine(self, other, sign):
+        """self + sign*other for sign 1 or -1, over the lcm of the denominators."""
+        da, db = self.denom, other.denom
+        if da == db:
+            out = _accumulate(dict(self.ints), other.ints.items(), coeff=None if sign == 1 else -1)
+            return _reduced(self.nvars, out, da)
+        g = math.gcd(da, db)
+        ka, kb = db // g, da // g
+        out = _accumulate({e: c * ka for e, c in self.ints.items()}, other.ints.items(),
+                          coeff=sign * kb)
+        return _reduced(self.nvars, out, da * ka)
+
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
-        if not self.terms:
+        if not self.ints:
             return other
-        if not other.terms:
+        if not other.ints:
             return self
-        return Polynomial._raw(self.nvars, _accumulate(dict(self.terms), other.terms.items()))
+        return self._combine(other, 1)
 
     def __neg__(self):
-        return Polynomial._raw(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._raw(self.nvars, {e: -c for e, c in self.ints.items()}, self.denom)
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
-        out = _accumulate(dict(self.terms), other.terms.items(), coeff=-1)
-        return Polynomial._raw(self.nvars, out)
+        return self._combine(other, -1)
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
         # iterate over the shorter operand outside
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
+        p, q = (self, other) if len(self.ints) <= len(other.ints) else (other, self)
+        a, b = p.ints, q.ints
+        if len(a) == 1:
+            ((ea, ca),) = a.items()
+            if not any(ea):  # a constant scales the other operand
+                return q if ca == p.denom == 1 else q._scaled(ca, p.denom)
+        elif not a:
+            return p
+        da, db = p.denom, q.denom
+        den = 1
+        if da != 1 or db != 1:
+            # Gauss's lemma: the content of a product is the product of the
+            # contents, so a denominator can share a factor only with the
+            # other operand's content; cancel it there
+            ga, gb = _content(b, da), _content(a, db)
+            if ga != 1:
+                b = {e: c // ga for e, c in b.items()}
+            if gb != 1:
+                a = {e: c // gb for e, c in a.items()}
+            den = da // ga * (db // gb)
         out = {}
         for ea, ca in a.items():
             _accumulate(out, b.items(), coeff=ca, shift=ea)
-        return Polynomial._raw(self.nvars, out)
+        return Polynomial._raw(self.nvars, out, den)
 
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = Polynomial.const(self.nvars, 1)
-        base = self
-        while k:
+        if not k:
+            return Polynomial.const(self.nvars, 1)
+        result, base = None, self
+        while True:
             if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
+
+    def _scaled(self, n, d):
+        """self * n/d for a nonzero self and coprime ints n != 0, d > 0.  Only
+        n with denom and d with the numerators can share a factor."""
+        ints, denom = self.ints, self.denom
+        g = math.gcd(denom, n)
+        h = _content(ints, d) if d != 1 else 1
+        n, denom, d = n // g, denom // g, d // h
+        if n != 1 or h != 1:
+            ints = {e: c // h * n for e, c in ints.items()}
+        return Polynomial._raw(self.nvars, ints, denom * d)
 
     def scale(self, c):
         c = QQ(c)
-        if c == 0:
+        if c == 0 or not self.ints:
             return Polynomial.zero(self.nvars)
-        return Polynomial._raw(self.nvars, {e: QQ(k * c) for e, k in self.terms.items()})
+        return self._scaled(c.numerator, c.denominator)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return self.nvars == other.nvars and self.denom == other.denom and self.ints == other.ints
 
     __hash__ = None
 
@@ -269,29 +367,29 @@ class Polynomial:
 
     def content(self):
         """Positive rational c such that self/c has coprime integer coefficients."""
-        if not self.terms:
-            return Fraction(0)
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            num_gcd = math.gcd(num_gcd, c.numerator)
-            den_lcm = math.lcm(den_lcm, c.denominator)
-        return Fraction(num_gcd, den_lcm)
+        return Fraction(_content(self.ints), self.denom)
 
     def monic(self):
-        """Scale so the grlex leading coefficient is 1 (canonical up to scalars)."""
-        if not self.terms:
+        """Scale so the grlex leading coefficient is 1 (canonical up to scalars):
+        the numerators over the leading one, whatever denom is."""
+        ints = self.ints
+        if not ints:
             return self
-        _, lc = self.leading_term()
-        if lc == 1:
+        lc = ints[max(ints, key=_grlex)]
+        if lc == self.denom:
             return self
-        return self.scale(QQ(1, lc))
+        h = _content(ints, lc)
+        if lc < 0:
+            h = -h
+        if h != 1:
+            ints = {e: c // h for e, c in ints.items()}
+        return Polynomial._raw(self.nvars, ints, lc // h)
 
     def monomial_content(self):
         """Exponent vector of the largest monomial dividing every term."""
-        if not self.terms:
+        if not self.ints:
             return (0,) * self.nvars
-        it = iter(self.terms)
+        it = iter(self.ints)
         m = list(next(it))
         for e in it:
             for i, d in enumerate(e):
@@ -301,25 +399,40 @@ class Polynomial:
                 break
         return tuple(m)
 
+    def _shifted(self, shift):
+        """self times the monomial x^shift; a negative shift must divide."""
+        return Polynomial._raw(self.nvars, _accumulate({}, self.ints.items(), shift=shift),
+                               self.denom)
+
     def divide_exact(self, d):
-        """Exact quotient self/d, or None when d does not divide self."""
+        """Exact quotient self/d, or None when d does not divide self.
+
+        The numerators are divided by the primitive part D of d's: a quotient
+        by D is integral (Gauss's lemma), so an inexact step proves a miss."""
         if d.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         self._check(d)
         if d.is_constant():
             return self.scale(QQ(1, d.constant_value()))
-        de, dc = d.leading_term()
+        cont = _content(d.ints)
+        D = d.ints if cont == 1 else {e: c // cont for e, c in d.ints.items()}
+        de = max(D, key=_grlex)
+        dc = D[de]
         q = {}
-        r = dict(self.terms)
+        r = dict(self.ints)
         while r:
-            re = max(r, key=lambda t: (sum(t), t))
-            diff = tuple(a - b for a, b in zip(re, de))
-            if any(x < 0 for x in diff):
+            re = max(r, key=_grlex)
+            diff = tuple(map(sub, re, de))
+            if min(diff) < 0:
                 return None
-            c = QQ(r[re], dc)
+            c, m = divmod(r[re], dc)
+            if m:
+                return None
             q[diff] = c
-            _accumulate(r, d.terms.items(), coeff=-c, shift=diff)
-        return Polynomial._raw(self.nvars, q)
+            _accumulate(r, D.items(), coeff=-c, shift=diff)
+        if d.denom != 1:
+            q = {e: c * d.denom for e, c in q.items()}
+        return _reduced(self.nvars, q, self.denom * cont)
 
     # -- calculus-free structural operations ----------------------------------
 
@@ -330,19 +443,19 @@ class Polynomial:
         exponent set to zero.
         """
         out = {}
-        for e, c in self.terms.items():
+        for e, c in self.ints.items():
             stripped = e[:var] + (0,) + e[var + 1 :]
             out.setdefault(e[var], {})[stripped] = c
-        return {d: Polynomial._raw(self.nvars, b) for d, b in out.items()}
+        return {d: _reduced(self.nvars, b, self.denom) for d, b in out.items()}
 
     def split_head(self, k):
         """Group the terms by their first ``k`` exponents: map head exponent
         tuple -> the polynomial of those terms with the head set to zero."""
         pad = (0,) * k
         out = {}
-        for e, c in self.terms.items():
+        for e, c in self.ints.items():
             out.setdefault(e[:k], {})[pad + e[k:]] = c
-        return {head: Polynomial._raw(self.nvars, b) for head, b in out.items()}
+        return {head: _reduced(self.nvars, b, self.denom) for head, b in out.items()}
 
     def substitute_var(self, var, image):
         """Substitute ``image`` (a Polynomial) for one variable, exactly."""
@@ -361,8 +474,10 @@ class Polynomial:
     def shift_vars(self, shifts):
         """The image under x_i -> x_i + a for the pairs ``(i, a)`` of
         ``shifts``, one variable at a time: each column of degree n in x_i is
-        Taylor-shifted in place by n synthetic divisions by x_i - a."""
-        terms = self.terms
+        Taylor-shifted in place by n synthetic divisions by x_i - a.  An
+        integer shift is invertible over Z[x], so it keeps the content and
+        denom; a rational one is brought back to lowest terms at the end."""
+        terms = self.ints
         for i, a in shifts:
             if not any(e[i] for e in terms):
                 continue
@@ -378,40 +493,43 @@ class Polynomial:
                         col[j] += a * col[j + 1]
                 for j, c in enumerate(col):
                     if c:
-                        out[head + (j,) + tail] = (
-                            c.numerator if type(c) is Fraction and c.denominator == 1 else c
-                        )
+                        out[head + (j,) + tail] = c
             terms = out
-        return self if terms is self.terms else Polynomial._raw(self.nvars, terms)
+        if terms is self.ints:
+            return self
+        if all(type(a) is int for _, a in shifts):
+            return Polynomial._raw(self.nvars, terms, self.denom)
+        ints, denom = _over_lcm(terms)
+        return _reduced(self.nvars, ints, denom * self.denom)
 
     def permute_vars(self, images):
         """Apply the variable permutation ``i -> images[i]`` to exponents."""
         out = {}
-        for e, c in self.terms.items():
+        for e, c in self.ints.items():
             ne = [0] * self.nvars
             for i, d in enumerate(e):
                 ne[images[i]] = d
             out[tuple(ne)] = c
-        return Polynomial._raw(self.nvars, out)
+        return Polynomial._raw(self.nvars, out, self.denom)
 
     def derivative(self, var):
-        return Polynomial._raw(self.nvars, {
-            e[:var] + (e[var] - 1,) + e[var + 1 :]: QQ(c * e[var])
-            for e, c in self.terms.items()
+        return _reduced(self.nvars, {
+            e[:var] + (e[var] - 1,) + e[var + 1 :]: c * e[var]
+            for e, c in self.ints.items()
             if e[var]
-        })
+        }, self.denom)
 
     def evaluate(self, point):
         if len(point) != self.nvars:
             raise ContextMismatchError("evaluation point has wrong length")
         total = Fraction(0)
-        for e, c in self.terms.items():
+        for e, c in self.ints.items():
             v = c
             for i, d in enumerate(e):
                 if d:
                     v = v * QQ(point[i]) ** d
             total += v
-        return total
+        return total / self.denom
 
     def __repr__(self):
         return f"Polynomial({self.nvars}, {self.terms!r})"
@@ -440,19 +558,19 @@ def poly_gcd(p, q):
     mp = p.monomial_content()
     mq = q.monomial_content()
     common = tuple(min(a, b) for a, b in zip(mp, mq))
-    p1 = Polynomial._raw(p.nvars, _accumulate({}, p.terms.items(), shift=[-d for d in mp]))
-    q1 = Polynomial._raw(q.nvars, _accumulate({}, q.terms.items(), shift=[-d for d in mq]))
+    p1 = p._shifted([-d for d in mp])
+    q1 = q._shifted([-d for d in mq])
 
     g = _gcd_primitive_parts(p1, q1)
     if any(common):
-        g = Polynomial._raw(g.nvars, _accumulate({}, g.terms.items(), shift=common))
+        g = g._shifted(common)
     return g.monic()
 
 
 def _gcd_primitive_parts(p, q):
     if p.is_constant() or q.is_constant():
         return Polynomial.const(p.nvars, 1)
-    if p.terms == q.terms:
+    if p == q:
         return p
     pv = p.variables_present()
     qv = q.variables_present()
@@ -472,7 +590,7 @@ def _gcd_primitive_parts(p, q):
             b = {d: QQ(c, lcb) for d, c in b.items()}
             a, b = b, _pseudo_rem(a, b)
         pad = (0,) * (p.nvars - v - 1)
-        return Polynomial._raw(p.nvars, {(0,) * v + (d,) + pad: c for d, c in a.items()})
+        return Polynomial._raw(p.nvars, *_over_lcm({(0,) * v + (d,) + pad: c for d, c in a.items()}))
 
     # the subresultant sequence, on views {degree in v: coefficient}
     ca, a = _content_and_primitive(a.coeffs_in(v))
@@ -486,7 +604,11 @@ def _gcd_primitive_parts(p, q):
         if not r:
             # the first b is a primitive part already
             b = b if b is first else _content_and_primitive(b)[1]
-            out = {e[:v] + (d,) + e[v + 1 :]: k for d, x in b.items() for e, k in x.terms.items()}
+            # over the lcm of the coefficients' denominators: a scalar
+            # multiple, which poly_gcd makes monic
+            m = math.lcm(*(x.denom for x in b.values()))
+            out = {e[:v] + (d,) + e[v + 1 :]: k * (m // x.denom)
+                   for d, x in b.items() for e, k in x.ints.items()}
             return c * Polynomial._raw(p.nvars, out)
         if max(r) == 0:
             return c
@@ -546,43 +668,72 @@ def _cancel(p, q):
 def _pivot(f):
     """The smallest v with f = c*x_v + r for a nonzero rational c and r free
     of x_v, or None when there is none (then f is not a base factor)."""
-    terms = f.terms
-    for v in sorted(e.index(1) for e in terms if sum(e) == 1):
-        if sum(1 for e in terms if e[v]) == 1:
+    ints = f.ints
+    for v in sorted(e.index(1) for e in ints if sum(e) == 1):
+        if sum(1 for e in ints if e[v]) == 1:
             return v
     return None
 
 
 def _strip(p, f, cap=None):
     """``(k, p/f^k)`` for the largest k, at most ``cap``, with f^k dividing p;
-    p must be nonzero and f a base factor.
+    p must be nonzero and f a grlex-monic base factor.
 
-    Synthetic division in the pivot variable v of f = c*x_v + r: the quotient
-    coefficients q_{d-1} = (p_d - r*q_d)/c come out from the top degree down,
-    and f divides p exactly when the last remainder p_0 - r*q_0 vanishes.
+    A monic f is F/d for F = f.ints and d = f.denom = lc(F), so F is
+    primitive: F^k divides the numerators P of p exactly when f^k divides p,
+    and then P/F^k is integral (Gauss's lemma) with the content of P.  So
+    p/f^k = (P/F^k) * d^k / p.denom needs only the gcd of p.denom and d^k.
     """
     v = _pivot(f)
-    c = f.terms[tuple(int(i == v) for i in range(f.nvars))]
-    r = [(e, -a) for e, a in f.terms.items() if not e[v]]
-    k = 0
+    F = f.ints
+    c = F[tuple(int(i == v) for i in range(f.nvars))]
+    r = [(e, -a) for e, a in F.items() if not e[v]]
+    ints, k = p.ints, 0
     while k != cap:
-        view = {}
-        for e, a in p.terms.items():
-            view.setdefault(e[v], {})[e[:v] + (0,) + e[v + 1 :]] = a
-        quotient, q = {}, {}
-        for d in range(max(view), -1, -1):
-            rem = dict(view.get(d, ()))
-            for e, a in r:
-                _accumulate(rem, q.items(), coeff=a, shift=e)
-            if not d:
-                break
-            q = rem if c == 1 else {e: QQ(a, c) for e, a in rem.items()}
-            for e, a in q.items():
-                quotient[e[:v] + (d - 1,) + e[v + 1 :]] = a
-        if rem:
+        quotient = _divide_linear(ints, v, c, r)
+        if quotient is None:
             break
-        k, p = k + 1, Polynomial._raw(p.nvars, quotient)
-    return k, p
+        ints, k = quotient, k + 1
+    if not k:
+        return 0, p
+    m = f.denom**k
+    g = math.gcd(p.denom, m)
+    if m != g:
+        ints = {e: a * (m // g) for e, a in ints.items()}
+    return k, Polynomial._raw(p.nvars, ints, p.denom // g)
+
+
+def _divide_linear(ints, v, c, r):
+    """The integer quotient of ``ints`` by the primitive F = c*x_v - sum r,
+    with ``r`` the ``(exponents, coefficient)`` pairs free of x_v, or None
+    when F does not divide it.
+
+    Synthetic division in x_v: the quotient coefficients q_{d-1} = (P_d +
+    r*q_d)/c come out from the top degree down.  They are integral when F
+    divides, so the first inexact division proves a miss; otherwise F divides
+    exactly when the last remainder P_0 + r*q_0 vanishes.
+    """
+    view = {}
+    for e, a in ints.items():
+        view.setdefault(e[v], {})[e[:v] + (0,) + e[v + 1 :]] = a
+    quotient, q = {}, {}
+    for d in range(max(view), -1, -1):
+        rem = dict(view.get(d, ()))
+        for e, a in r:
+            _accumulate(rem, q.items(), coeff=a, shift=e)
+        if not d:
+            return None if rem else quotient
+        if c != 1:
+            q = {}
+            for e, a in rem.items():
+                a, m = divmod(a, c)
+                if m:
+                    return None
+                q[e] = a
+        else:
+            q = rem
+        for e, a in q.items():
+            quotient[e[:v] + (d - 1,) + e[v + 1 :]] = a
 
 
 #: The factorization of a constant denominator, shared by every such RatFunc.
@@ -590,19 +741,22 @@ _NO_FACTORS = ()
 
 
 def _factor_key(f):
-    return frozenset(f.terms.items())
+    """The key of a base factor f: its numerators and denom, in lowest terms."""
+    return frozenset(f.ints.items()), f.denom
 
 
 def _factor_poly(key, nvars):
-    return Polynomial._raw(nvars, dict(key))
+    ints, denom = key
+    return Polynomial._raw(nvars, dict(ints), denom)
 
 
 def _expand(fac, nvars):
     """The monic polynomial prod f^e of a factorization ``{key of f: e}``."""
-    out = Polynomial.const(nvars, 1)
+    out = None
     for key, e in fac.items():
-        out = out * _factor_poly(key, nvars) ** e
-    return out
+        f = _factor_poly(key, nvars) ** e
+        out = f if out is None else out * f
+    return Polynomial.const(nvars, 1) if out is None else out
 
 
 def _strip_factors(p, fac):
@@ -717,7 +871,7 @@ class RatFunc:
         return self.num.is_zero()
 
     def __bool__(self):
-        return bool(self.num.terms)
+        return bool(self.num)
 
     def is_polynomial(self):
         return self.den.is_constant()
@@ -834,31 +988,36 @@ class RatFunc:
         exponent of each variable removes; the factorization is then the one
         ``_single_factor`` finds, if any."""
         nvars = self.nvars
+        unit = all(c == 1 for c in coeffs)
 
         def image(p):
             out = {}
-            for e, c in p.terms.items():
+            for e, c in p.ints.items():
                 ne = list(e)
                 for i, d in enumerate(e):
                     if d:
                         if coeffs[i] != 1:
-                            c = QQ(c * coeffs[i] ** d)
+                            c = c * coeffs[i] ** d
                         for j, x in enumerate(exps[i]):
                             if x:
                                 ne[j] += x * d
                 out[tuple(ne)] = c
-            return out
+            if unit:  # only the monomials move: the content stays
+                return Polynomial._raw(nvars, out, p.denom)
+            ints, denom = _over_lcm(out)
+            return _reduced(nvars, ints, denom * p.denom)
 
         num, den = image(self.num), image(self.den)
-        low = tuple(map(min, zip(*num, *den)))
+        low = tuple(map(min, zip(*num.ints, *den.ints)))
         if any(low):
             fac = None
-            num, den = ({tuple(map(sub, e, low)): c for e, c in t.items()} for t in (num, den))
+            low = [-x for x in low]
+            num, den = num._shifted(low), den._shifted(low)
         else:
-            fac = _map_factors(self, lambda p: Polynomial._raw(nvars, image(p)))
-            if fac and any(min(e) < 0 for key, _ in fac for e, _ in key):
+            fac = _map_factors(self, image)
+            if fac and any(min(e) < 0 for (ints, _), _ in fac for e, _ in ints):
                 fac = None  # a negative power in a multiplier left a factor's image Laurent
-        num, den = _monic_den(*(Polynomial._raw(nvars, t) for t in (num, den)))
+        num, den = _monic_den(num, den)
         return RatFunc._raw(num, den, _single_factor(den) if fac is None else fac)
 
     @classmethod
@@ -879,11 +1038,11 @@ class RatFunc:
 def _monic_den(num, den):
     """Canonical scaling of a coprime pair: the denominator becomes
     grlex-monic, and exactly the unit polynomial when it is constant."""
-    lc = den.constant_value() if den.is_constant() else den.leading_term()[1]
-    if lc == 1:
+    ints = den.ints
+    lc = ints[max(ints, key=_grlex)]
+    if lc == den.denom:
         return num, den
-    inv = QQ(1, lc)
-    return num.scale(inv), den.scale(inv)
+    return num.scale(QQ(den.denom, lc)), den.monic()
 
 
 def substitute(r, images):
@@ -997,9 +1156,8 @@ def poly_to_text(p, names):
     if len(names) != p.nvars:
         raise ContextMismatchError("name list does not match variable count")
     parts = []
-    for e in sorted(p.terms, key=lambda t: (sum(t), t), reverse=True):
-        c = p.terms[e]
-        factors = [str(c)]
+    for e in sorted(p.ints, key=_grlex, reverse=True):
+        factors = [str(QQ(p.ints[e], p.denom))]
         for i, d in enumerate(e):
             if d == 1:
                 factors.append(names[i])

@@ -65,38 +65,40 @@ class _Runtime:
         block = scenario.get("algebra")
         if not isinstance(block, dict) or "kind" not in block:
             raise ScenarioError("scenario needs an algebra block with a kind")
-        self.algebra = self._build(block)
+        # only reading the block may raise these; an error in building the
+        # algebra is not the scenario's fault
+        try:
+            build = self._parse(block)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ScenarioError(f"bad {block['kind']!r} algebra block: {exc!r}") from exc
+        self.algebra = build()
 
-    def _build(self, block):
+    def _parse(self, block):
+        """Read the algebra block; return the function that builds its algebra."""
         kind = block["kind"]
+        cap = self.cap_group
         if kind in ("shift_algebra", "qshift_algebra"):
             build = build_shift_algebra if kind == "shift_algebra" else build_qshift_algebra
+            n, m = int(block["n"]), int(block["m"])
             group = [_one_line(p) for p in block.get("group", [])] or None
-            ctx = build(
-                int(block["n"]), int(block["m"]), group_generators=group,
-                group_cap=self.cap_group,
-            )
-            return AlgebraSpec(ctx, {}, [])
+            return lambda: AlgebraSpec(build(n, m, group_generators=group, group_cap=cap), {}, [])
         if kind == "gwa":
-            self.gwa_spec = self._gwa_spec(block)
-            return gwa_embed(self.gwa_spec)
+            self.gwa_spec = spec = self._gwa_spec(block)
+            return lambda: gwa_embed(spec)
         if kind == "gt":
-            return gt_embedding(int(block["n"]), group_cap=self.cap_group)
+            n = int(block["n"])
+            return lambda: gt_embedding(n, group_cap=cap)
         if kind == "nilhecke":
-            thetas = demazure_elements(int(block["n"]), group_cap=self.cap_group)
-            gens = {f"theta{i + 1}": th for i, th in enumerate(thetas)}
-            return AlgebraSpec(thetas[0].context, gens, [])
+            n = int(block["n"])
+            return lambda: _nilhecke(n, cap)
         raise ScenarioError(f"unknown algebra kind {kind!r}")
 
     def _gwa_spec(self, block):
         if block.get("preset") == "witten-woronowicz":
             return witten_woronowicz_spec()
-        try:
-            table = VariableTable(block["variables"], (), block.get("params", ()))
-            sigma = [self._automorphism(table, s) for s in block["sigma"]]
-            a = [ratfunc_from_json(x, table.names) for x in block["a"]]
-        except (KeyError, ValueError) as exc:
-            raise ScenarioError(f"bad gwa block: {exc}") from exc
+        table = VariableTable(block["variables"], (), block.get("params", ()))
+        sigma = [self._automorphism(table, s) for s in block["sigma"]]
+        a = [ratfunc_from_json(x, table.names) for x in block["a"]]
         return GWASpec(table, sigma, a)
 
     def _automorphism(self, table, block):
@@ -118,6 +120,12 @@ class _Runtime:
                 exps.append((0,) * nv)
             return ScalingAut(table, coeffs, exps)
         raise ScenarioError(f"unknown automorphism kind {block['kind']!r}")
+
+
+def _nilhecke(n, cap):
+    thetas = demazure_elements(n, group_cap=cap)
+    gens = {f"theta{i + 1}": th for i, th in enumerate(thetas)}
+    return AlgebraSpec(thetas[0].context, gens, [])
 
 
 def _one_line(perm):
@@ -302,6 +310,13 @@ def _validate_job(index, job, kind):
             elif not isinstance(entry, (str, dict)):
                 # what evaluate_expression says of such a node, before any job runs
                 raise DefinitionError(f"{where}: unrecognized expression node {entry!r}")
+    if "vanishing_value" in job:
+        try:
+            QQ(str(job["vanishing_value"]))
+        except (ValueError, ZeroDivisionError):
+            raise ScenarioError(
+                f"{where}: vanishing_value must be a rational, got {job['vanishing_value']!r}"
+            ) from None
     relations = job.get("relations", "gl")
     if relations != "gl" and not (
         isinstance(relations, list)
@@ -322,6 +337,13 @@ def _validate_job(index, job, kind):
     for key in sorted(expect):
         if key not in ("slope_interval",) + EXPECTATIONS:
             raise ScenarioError(f"{where}: unknown expectation key {key!r}")
+    if "slope_interval" in expect:
+        try:
+            _lo, _hi = (Fraction(str(x)) for x in expect["slope_interval"])
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise ScenarioError(
+                f"{where}: slope_interval must be two rationals, got {expect['slope_interval']!r}"
+            ) from None
 
 
 def _apply_expectation(report, values, expect):
@@ -477,7 +499,7 @@ def main(argv=None):
     except ResourceCapError as exc:
         print(f"error: resource cap exceeded: {exc}", file=sys.stderr)
         return 3
-    except (ScenarioError, SkewmonError, KeyError, ValueError, TypeError) as exc:
+    except SkewmonError as exc:
         print(f"error: invalid scenario: {exc}", file=sys.stderr)
         return 2
 

@@ -483,6 +483,21 @@ class TestStandardIdentity:
         rhs = base + standard_identity(3, [d, b, c])
         assert lhs == rhs
 
+    def test_s3_makes_one_product_per_distinct_prefix_after_the_first_factor(self, monkeypatch):
+        # 6 prefixes of length 2 and 6 of length 3; a prefix of length 1 is
+        # its element itself, never one * a
+        ctx = build_shift_algebra(1, 1)
+        rng = random.Random(3)
+        a = SkewElement.generator(ctx, (1,), random_ratfunc(rng, 1))
+        b = SkewElement.scalar(ctx, random_ratfunc(rng, 1))
+        c = SkewElement.generator(ctx, (-1,), random_ratfunc(rng, 1))
+        want, one = standard_identity(3, [a, b, c]), SkewElement.one(ctx)
+        products = []
+        monkeypatch.setattr(SkewElement, "__mul__", counting(products, SkewElement.__mul__))
+        assert standard_identity(3, [a, b, c]) == want
+        assert len(products) == 12
+        assert not any(x == one for x, _ in products)
+
     def test_cost_cap(self):
         ctx = build_shift_algebra(1, 1)
         ones = [SkewElement.one(ctx)] * 7

@@ -214,6 +214,38 @@ class TestExitCodes:
         assert main(["run", str(path)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("block, error", [
+        ({"kind": "gt"}, "KeyError('n')"),
+        ({"kind": "nilhecke", "n": "three"},
+         "ValueError(\"invalid literal for int() with base 10: 'three'\")"),
+        ({"kind": "shift_algebra", "n": 1, "m": 1, "group": 5},
+         "TypeError(\"'int' object is not iterable\")"),
+        ({"kind": "gwa", "variables": ["x"], "sigma": [{"kind": "shift", "offsets": [1]}],
+          "a": ["y"]}, "ValueError(\"Invalid literal for Fraction: 'y'\")"),
+    ], ids=["missing-key", "not-an-integer", "group-not-a-list", "unknown-variable"])
+    def test_malformed_algebra_block_is_two_and_names_the_block(self, tmp_path, capsys,
+                                                                 block, error):
+        path = tmp_path / "block.json"
+        path.write_text(json.dumps({"algebra": block, "jobs": []}))
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: invalid scenario: bad {block['kind']!r} algebra block: {error}\n"
+
+    @pytest.mark.parametrize("exc", [TypeError, KeyError, ValueError])
+    def test_a_fault_inside_a_job_is_not_an_invalid_scenario(self, monkeypatch, tmp_path,
+                                                            capsys, exc):
+        def faulty(rt, job):
+            raise exc("fault inside the job")
+
+        monkeypatch.setitem(cli.JOBS, "monoid_growth", (faulty, cli.JOBS["monoid_growth"][1]))
+        scenario = {"algebra": {"kind": "shift_algebra", "n": 2, "m": 2},
+                    "jobs": [{"op": "monoid_growth", "generators": [[1, 0]], "k_max": 2}]}
+        path = tmp_path / "fault.json"
+        path.write_text(json.dumps(scenario))
+        with pytest.raises(exc, match="fault inside the job"):
+            main(["run", str(path)])
+        assert "invalid scenario" not in capsys.readouterr().err
+
     def test_cap_group_reaches_the_gt_builder(self, capsys):
         assert main(["run", "gt-3", "--cap-group", "1"]) == 3
         assert "group closure exceeded the cap of 1" in capsys.readouterr().err
@@ -283,7 +315,8 @@ class TestJobValidation:
 
     @pytest.mark.parametrize(
         "expect, message",
-        [({"bogus": 1}, "unknown expectation key 'bogus'"), ("fail", "bad expectation 'fail'")],
+        [({"bogus": 1}, "unknown expectation key 'bogus'"), ("fail", "bad expectation 'fail'"),
+         ({"slope_interval": ["a", 1]}, "slope_interval must be two rationals, got \\['a', 1\\]")],
     )
     def test_bad_expectation_fails_before_any_job_runs(self, monkeypatch, expect, message):
         calls = []
@@ -358,9 +391,12 @@ class TestJobValidation:
          "unrecognized expression node 7"),
         ({"op": "standard_identity", "elements": [["E12"]]},
          "unrecognized expression node ['E12']"),
+        ({"op": "hecke_check", "element": "E12", "vanishing_value": "abc"},
+         "vanishing_value must be a rational, got 'abc'"),
     ], ids=["frame-not-a-list", "elements-not-a-list", "relations-not-a-list",
             "relation-without-name", "generator-not-a-list", "generator-not-integers",
-            "frame-entry-not-an-expression", "elements-entry-not-an-expression"])
+            "frame-entry-not-an-expression", "elements-entry-not-an-expression",
+            "vanishing-value-not-a-rational"])
     def test_element_shapes_are_checked_before_any_job_runs(self, tmp_path, capsys, job,
                                                              message):
         job = dict(job, name="shape")
@@ -374,7 +410,19 @@ class TestJobValidation:
          {"op": "growth_profile", "frame": [{"const": "1"}, "E13"], "k_max": 2},
          DefinitionError,
          "unknown generator 'E13'"),
-    ], ids=["unknown-generator"])
+        ({"kind": "gt", "n": 2},
+         {"op": "standard_identity", "elements": ["E12"]},
+         {"op": "standard_identity", "elements": [{"comm": ["E12"]}]},
+         DefinitionError,
+         "malformed expression node {'comm': ['E12']}: "
+         "ValueError('not enough values to unpack (expected 2, got 1)')"),
+        ({"kind": "gt", "n": 2},
+         {"op": "standard_identity", "elements": ["E12"]},
+         {"op": "verify_relations", "relations": [{"name": "r", "expr": {"const": "abc"}}]},
+         DefinitionError,
+         "malformed expression node {'const': 'abc'}: "
+         "ValueError(\"Invalid literal for Fraction: 'abc'\")"),
+    ], ids=["unknown-generator", "malformed-comm", "malformed-const"])
     def test_error_raised_inside_a_job_names_the_job(self, tmp_path, capsys, algebra, first,
                                                       second, error, message):
         second = dict(second, name="second")

@@ -1,6 +1,8 @@
 """Only ``arith`` builds polynomial terms, canonical numerator/denominator
-pairs and denominator factorizations; the other modules of the package reach
-them through public methods such as ``RatFunc.map``."""
+pairs and denominator factorizations, and only it reads a polynomial's
+integer numerators ``ints`` and their common denominator ``denom``; the other
+modules of the package reach them through public methods such as
+``RatFunc.map``."""
 
 import ast
 from pathlib import Path
@@ -11,12 +13,16 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "skewmon"
 #: skew sums and reducer rows, and the factor stripping of membership checks.
 SHARED_PRIVATE = {"_accumulate", "_strip"}
 
+#: Attributes only arith reads: the rational view of a polynomial, its integer
+#: numerators and their denominator, and a denominator's factorization.
+PRIVATE_SLOTS = ("terms", "ints", "denom", "fac")
+
 
 def _violations(path):
     out = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         where = f"{path.name}:{getattr(node, 'lineno', '?')}"
-        if isinstance(node, ast.Attribute) and node.attr in ("terms", "fac"):
+        if isinstance(node, ast.Attribute) and node.attr in PRIVATE_SLOTS:
             out.append(f"{where} reads .{node.attr}")
         elif (
             isinstance(node, ast.Call)

@@ -187,6 +187,39 @@ def test_shift_aut_moves_only_the_acted_variables():
     assert not mismatches, f"{len(mismatches)} of {CASES} disagree, e.g. {mismatches[:3]}"
 
 
+def rand_fractional_poly(rng, max_deg=2, nterms=3):
+    """A nonzero polynomial with coefficients n/d for d in 1, 2, 3, 4, 6, whose
+    numerators are often multiples of 2 or 3, so that a product or a sum can
+    cancel a factor of the common denominator."""
+    while True:
+        terms = {}
+        for _ in range(rng.randint(1, nterms)):
+            e = [0] * NV
+            for _ in range(rng.randint(0, max_deg)):
+                e[rng.randrange(NV)] += 1
+            c = Fraction(rng.randint(-3, 3) * rng.choice([1, 2, 3, 6]), rng.choice([1, 2, 3, 4, 6]))
+            terms[tuple(e)] = terms.get(tuple(e), 0) + c
+        p = Polynomial(NV, terms)
+        if not p.is_zero():
+            return p
+
+
+def test_sums_and_products_of_fractional_polynomials():
+    rng = random.Random(97)
+    mismatches = []
+    for i in range(CASES):
+        p = rand_fractional_poly(rng)
+        # every fourth q is a constant, which scales p
+        q = rand_fractional_poly(rng, max_deg=0 if i % 4 == 0 else 2)
+        a, b = to_sympy(p), to_sympy(q)
+        cases = [("+", p + q, a + b), ("-", p - q, a - b), ("*", p * q, a * b),
+                 ("q*p*p", q * p * p, b * a * a), ("p-p", p - p, 0), ("p**2", p**2, a**2)]
+        for name, got, want in cases:
+            if got != from_sympy(sympy.expand(want)):
+                mismatches.append((name, a, b))
+    assert not mismatches, f"{len(mismatches)} of {CASES} disagree, e.g. {mismatches[:3]}"
+
+
 def test_poly_gcd():
     rng = random.Random(47)
     mismatches = []

@@ -6,10 +6,12 @@ differences and products must equal the quotient of the unreduced pair.  A
 scaling automorphism must also agree with plain substitution.  Operations
 that accumulate terms in place must leave their operands unchanged.  Every
 coefficient stays exact: a plain ``int`` when integral, a ``Fraction``
-otherwise, and never a float.
+otherwise, and never a float.  A polynomial stores ``int`` numerators over a
+positive ``int`` denominator in lowest terms, whatever operation made it.
 """
 
 import copy
+import math
 import operator
 from fractions import Fraction
 from itertools import permutations
@@ -27,7 +29,15 @@ from skewmon.actions import (  # noqa: E402
     VariableTable,
 )
 from skewmon.analysis import _SpanReducer  # noqa: E402
-from skewmon.arith import Polynomial, RatFunc, _pivot, poly_gcd, substitute  # noqa: E402
+from skewmon.arith import (  # noqa: E402
+    Polynomial,
+    RatFunc,
+    _factor_poly,
+    _pivot,
+    _strip,
+    poly_gcd,
+    substitute,
+)
 from skewmon.errors import DegenerateSubstitutionError  # noqa: E402
 from skewmon.constructors import build_shift_algebra  # noqa: E402
 from skewmon.skewring import SkewElement, g_action  # noqa: E402
@@ -313,7 +323,7 @@ def factored_pairs(draw):
 def assert_factored(r):
     """r's factorization is over distinct base factors and multiplies out to r.den."""
     assert_canonical(r)
-    factors = [(Polynomial(NV, dict(key)), e) for key, e in r.fac]
+    factors = [(_factor_poly(key, NV), e) for key, e in r.fac]
     for f, e in factors:
         assert e > 0 and f.leading_term()[1] == 1 and _pivot(f) is not None
     assert len({key for key, _ in r.fac}) == len(r.fac)
@@ -358,3 +368,34 @@ def test_factored_arithmetic_agrees_with_the_gcd_path(pairs, k, offsets, perm, s
             assert_factored(got)
     for x in [x for pair in kept + maybe for x in pair]:
         assert x.fac == () or not x.den.is_constant()
+
+
+def assert_lowest_terms(*values):
+    """Every numerator stored is a nonzero int over an int denominator >= 1
+    prime to them all, and zero has denominator 1: no Fraction is stored."""
+    for p in values:
+        assert type(p.denom) is int and p.denom >= 1, repr(p.denom)
+        assert all(type(c) is int and c for c in p.ints.values()), repr(p.ints)
+        assert math.gcd(p.denom, *p.ints.values()) == 1, (p.ints, p.denom)
+        assert p.ints or p.denom == 1
+
+
+shift_offsets = st.one_of(st.integers(-2, 2), coeffs)
+
+
+@fast
+@given(polys, polys, nonzero_polys, nonzero_coeffs, st.integers(0, NV - 1),
+       st.integers(0, NV), st.lists(st.tuples(st.integers(0, NV - 1), shift_offsets), max_size=2),
+       base_factors, st.integers(0, 2))
+def test_every_operation_keeps_polynomials_in_lowest_terms(p, q, d, c, var, k, shifts, f, e):
+    pd, pf = p * d, (p + d) * f**e
+    exact = pd.divide_exact(d)
+    assert exact == p
+    maybe = p.divide_exact(d)
+    stripped, quotient = _strip(pf, f) if pf else (0, pf)
+    assert stripped >= e and quotient * f**stripped == pf
+    assert_lowest_terms(
+        p + q, p - q, p * q, -p, pd, p.scale(c), q.scale(c), d.monic(), exact,
+        *filter(None, [maybe]), p.shift_vars(shifts), *p.coeffs_in(var).values(),
+        *p.split_head(k).values(), quotient, p**e, p * Polynomial.const(NV, c),
+    )

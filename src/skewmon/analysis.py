@@ -533,19 +533,9 @@ def standard_identity(n, elements):
 
 
 def _parity(perm):
-    seen = [False] * len(perm)
-    parity = 0
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        parity ^= (length - 1) & 1
-    return parity
+    """0 or 1: the parity of perm's inversion count, a count of O(n^2) pairs
+    with n <= DEFAULT_SI_CAP."""
+    return sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :]) & 1
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ numerators, and a positive ``int`` ``denom``::
 
 The pair is kept in lowest terms: gcd(denom, every numerator) = 1, and the
 zero polynomial (the empty dict) has denom 1, so structural equality is
-equality.  The kernels (sums, products, scaling, shifts, factor stripping)
-run on plain ``int``s and reduce a result once, by a gcd pass over its
+equality.  The kernels (sums, products, scaling, shifts, factor stripping,
+gcds) run on plain ``int``s and reduce a result once, by a gcd pass over its
 numerators that stops when the gcd reaches 1; with denom 1 there is nothing
 to reduce.  ``Polynomial.terms`` is a read-only rational view
 ``{exponents: QQ(numerator, denom)}``; exact rationals enter and leave
@@ -60,9 +60,11 @@ through it, and a coefficient met again under the same key is not mapped again.
 GCD is computed exactly by content/primitive-part recursion with the
 subresultant pseudo-remainder sequence (Collins 1967; Brown 1971) in a chosen
 main variable v, on views ``{degree in v: coefficient}`` of the operands.  Its
-exact divisions keep coefficient growth polynomial.  One pseudo-remainder also
-serves the univariate base, which stays monic Euclid over the rationals.  No
-modular or heuristic shortcuts are used.
+exact divisions keep coefficient growth polynomial.  A gcd is defined up to a
+unit, so ``poly_gcd`` drops the operands' denominators and the recursion runs
+on integer numerators; one pseudo-remainder also serves the univariate base,
+Euclid with each remainder cut to its primitive part.  No modular or
+heuristic shortcuts are used.
 """
 
 import math
@@ -115,9 +117,8 @@ def _accumulate(out, terms, coeff=None, shift=None):
             c = c * coeff
         s = out.get(key)
         c = c if s is None else s + c
-        if c:
-            # skew sums pass RatFunc coefficients through the same loop
-            out[key] = c.numerator if type(c) is Fraction and c.denominator == 1 else c
+        if c:  # an int, or a RatFunc in skew sums and reducer rows
+            out[key] = c
         else:
             out.pop(key, None)
     return out
@@ -413,7 +414,8 @@ class Polynomial:
             raise ZeroDivisionError("division by the zero polynomial")
         self._check(d)
         if d.is_constant():
-            return self.scale(QQ(1, d.constant_value()))
+            ((_, c),) = d.ints.items()
+            return self.scale(QQ(d.denom, c))
         cont = _content(d.ints)
         D = d.ints if cont == 1 else {e: c // cont for e, c in d.ints.items()}
         de = max(D, key=_grlex)
@@ -554,12 +556,13 @@ def poly_gcd(p, q):
     if p.is_constant() or q.is_constant():
         return Polynomial.const(p.nvars, 1)
 
-    # split off the common monomial factor first: cheap and frequent
+    # a gcd is defined up to a unit: keep the integer numerators, and split
+    # off the common monomial factor first: cheap and frequent
     mp = p.monomial_content()
     mq = q.monomial_content()
     common = tuple(min(a, b) for a, b in zip(mp, mq))
-    p1 = p._shifted([-d for d in mp])
-    q1 = q._shifted([-d for d in mq])
+    p1 = Polynomial._raw(p.nvars, _accumulate({}, p.ints.items(), shift=[-d for d in mp]))
+    q1 = Polynomial._raw(q.nvars, _accumulate({}, q.ints.items(), shift=[-d for d in mq]))
 
     g = _gcd_primitive_parts(p1, q1)
     if any(common):
@@ -582,15 +585,15 @@ def _gcd_primitive_parts(p, q):
     a, b = (p, q) if p.degree_in(v) >= q.degree_in(v) else (q, p)
 
     if pv == qv == {v}:
-        # monic Euclid over the rationals: by a monic divisor the
-        # pseudo-remainder is the plain remainder
-        a, b = ({e[v]: c for e, c in x.terms.items()} for x in (a, b))
+        # Euclid on the integer numerators, each pseudo-remainder cut to its
+        # primitive part
+        a, b = ({e[v]: c for e, c in x.ints.items()} for x in (a, b))
         while b:
-            lcb = b[max(b)]
-            b = {d: QQ(c, lcb) for d, c in b.items()}
-            a, b = b, _pseudo_rem(a, b)
+            r = _pseudo_rem(a, b)
+            k = _content(r)
+            a, b = b, r if k == 1 else {d: c // k for d, c in r.items()}
         pad = (0,) * (p.nvars - v - 1)
-        return Polynomial._raw(p.nvars, *_over_lcm({(0,) * v + (d,) + pad: c for d, c in a.items()}))
+        return Polynomial._raw(p.nvars, {(0,) * v + (d,) + pad: c for d, c in a.items()})
 
     # the subresultant sequence, on views {degree in v: coefficient}
     ca, a = _content_and_primitive(a.coeffs_in(v))
@@ -602,13 +605,10 @@ def _gcd_primitive_parts(p, q):
         delta = max(a) - max(b)
         r = _pseudo_rem(a, b)
         if not r:
-            # the first b is a primitive part already
+            # the first b is a primitive part already; the coefficients are
+            # integral, as the divisions above are exact over Z[other variables]
             b = b if b is first else _content_and_primitive(b)[1]
-            # over the lcm of the coefficients' denominators: a scalar
-            # multiple, which poly_gcd makes monic
-            m = math.lcm(*(x.denom for x in b.values()))
-            out = {e[:v] + (d,) + e[v + 1 :]: k * (m // x.denom)
-                   for d, x in b.items() for e, k in x.ints.items()}
+            out = {e[:v] + (d,) + e[v + 1 :]: k for d, x in b.items() for e, k in x.ints.items()}
             return c * Polynomial._raw(p.nvars, out)
         if max(r) == 0:
             return c
@@ -620,7 +620,8 @@ def _gcd_primitive_parts(p, q):
 
 
 def _content_and_primitive(view):
-    """Content (canonical, free of the main variable) and primitive part of a view."""
+    """Content (canonical, free of the main variable) and primitive part of a
+    view; by Gauss's lemma the part of integral coefficients is integral."""
     coeffs = iter(view.values())
     content = next(coeffs)
     for c in coeffs:
@@ -635,8 +636,9 @@ def _content_and_primitive(view):
 
 def _pseudo_rem(a, b):
     """The view of lc(b)^(deg a - deg b + 1) * a mod b for views ``{degree:
-    coefficient}`` with deg a >= deg b, whose coefficients are rationals or
-    polynomials free of the main variable; the plain remainder when lc(b) = 1."""
+    coefficient}`` with deg a >= deg b, whose coefficients are rationals (ints
+    in the gcd) or polynomials free of the main variable; the plain remainder
+    when lc(b) = 1."""
     db = max(b)
     lcb = b[db]
     lower = [(d, c) for d, c in b.items() if d != db]
@@ -833,12 +835,12 @@ class RatFunc:
         fac = _single_factor(den)
         if fac is None:
             _, num, den = _cancel(num, den)
+            fac = _single_factor(den)
         elif fac:
             k, num = _strip(num, den, 1)
             if k:
-                den = Polynomial.const(num.nvars, 1)
-        self.num, self.den = num, den
-        self.fac = _NO_FACTORS if den.is_constant() else fac
+                den, fac = Polynomial.const(num.nvars, 1), _NO_FACTORS
+        self.num, self.den, self.fac = num, den, fac
 
     @classmethod
     def _raw(cls, num, den, fac=None):
@@ -1197,8 +1199,8 @@ def poly_from_text(text, names):
                 exps[index[factor]] += 1
             else:
                 coeff = coeff * QQ(factor.replace(" ", ""))
-        _accumulate(terms, [(tuple(exps), coeff)])
-    return Polynomial(nvars, terms)
+        terms[tuple(exps)] = terms.get(tuple(exps), 0) + coeff
+    return Polynomial(nvars, terms)  # which drops the zero sums
 
 
 def _split_terms(text):

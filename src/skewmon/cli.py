@@ -8,6 +8,7 @@ validation or I/O error, 3 a resource cap was exceeded.
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -168,11 +169,16 @@ def _job_support_lattice_rank(rt, job):
 
 
 def _job_center_candidates(rt, job):
-    basis = center_candidates(rt.algebra, job["degree_bound"])
-    names = rt.algebra.context.table.names
+    table, d = rt.algebra.context.table, job["degree_bound"]
+    m = table.n_acted + table.n_fixed  # the variables that are not parameters
+    count = math.comb(d + m, m)  # validation keeps d >= 0
+    if count > rt.cap_dim:
+        raise ResourceCapError(f"{count} monomials of degree <= {d} exceed the cap {rt.cap_dim}")
+    basis = center_candidates(rt.algebra, d)
+    names = table.names
     texts = [ratfunc_to_text(b, names) for b in basis]
     report = Report("center candidates")
-    report.add(f"solved invariance system at degree {job['degree_bound']}", "pass")
+    report.add(f"solved invariance system at degree {d}", "pass")
     return report, {"basis": texts, "dimension": len(texts)}
 
 
@@ -466,7 +472,8 @@ def main(argv=None):
     run_p.add_argument("--format", choices=("json", "text"), default="text")
     run_p.add_argument("--out", help="write the report to this path instead of stdout")
     run_p.add_argument("--cap-dim", type=int, default=DEFAULT_DIM_CAP,
-                       help="span dimension cap; also caps monoid_growth ball sizes")
+                       help="span dimension cap; also caps monoid_growth ball sizes "
+                            "and the center_candidates monomial count")
     run_p.add_argument("--cap-group", type=int, default=DEFAULT_GROUP_CAP,
                        help="group closure cap")
     run_p.add_argument("--no-timings", action="store_true",

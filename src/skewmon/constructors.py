@@ -34,7 +34,6 @@ from .actions import (
     ScalingAut,
     ShiftAut,
     VariableTable,
-    _perm_inverse,
 )
 from .analysis import comm, gen, prod, sum_of, verify_relations
 from .errors import PreconditionError, UnsupportedModeError
@@ -465,7 +464,7 @@ def hecke_membership_check(element, mode="degenerate", vanishing_value=None):
 
         if mode == "q":
             for w in support:
-                winv = _perm_inverse(w)
+                winv = ctx.key_inverse(w)
                 # w^{-1}(alpha) = x_{w^{-1}(i)} - x_{w^{-1}(j)} is negative iff
                 # the indices come out of order
                 if winv[i] < winv[j]:

@@ -16,7 +16,14 @@ The group G acts by (a mu)^g = g(a) (g mu g^{-1}); orbit sums over cosets of
 the stabilizer build G-invariant elements.
 """
 
-from .arith import RatFunc, Polynomial, _accumulate
+from .arith import (
+    Polynomial,
+    RatFunc,
+    _accumulate,
+    ratfunc_from_json,
+    ratfunc_to_json,
+    ratfunc_to_text,
+)
 from .errors import (
     ContextMismatchError,
     InvarianceError,
@@ -147,8 +154,6 @@ class SkewElement:
     # -- rendering -----------------------------------------------------------
 
     def to_text(self):
-        from .arith import ratfunc_to_text
-
         if not self.coeffs:
             return "0"
         names = self.context.table.names
@@ -158,8 +163,6 @@ class SkewElement:
         )
 
     def to_json(self):
-        from .arith import ratfunc_to_json
-
         names = self.context.table.names
         return {
             "terms": [
@@ -170,8 +173,6 @@ class SkewElement:
 
     @classmethod
     def from_json(cls, context, obj):
-        from .arith import ratfunc_from_json
-
         names = context.table.names
         coeffs = {}
         for term in obj["terms"]:

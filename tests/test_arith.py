@@ -1,11 +1,14 @@
+import json
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from skewmon import analysis, arith, skewring
 from skewmon.arith import (
     NEG_INF,
     Polynomial,
@@ -22,6 +25,7 @@ from skewmon.arith import (
     restrict_to_hyperplane,
     substitute,
 )
+from skewmon.cli import load_scenario_text, run_scenario
 from skewmon.errors import (
     ContextMismatchError,
     DegenerateSubstitutionError,
@@ -133,6 +137,24 @@ class TestPolyGcd:
     def test_monomial_factor(self):
         assert poly_gcd(X * Y, X) == X
 
+    def test_no_fraction_reaches_the_accumulator(self, monkeypatch):
+        # a gcd is defined up to a unit, so the gcd layer runs on integer
+        # numerators, and the parser sums its terms in a plain dict
+        original, written = arith._accumulate, Counter()
+
+        def spy(out, *args, **kwargs):
+            original(out, *args, **kwargs)
+            written.update(type(c) for c in out.values())
+            return out
+
+        for module in (arith, skewring, analysis):
+            monkeypatch.setattr(module, "_accumulate", spy)
+        p, q = (X * X - ONE).scale(QQ(1, 2)), (X - ONE).scale(QQ(3, 4))
+        assert poly_gcd(p, q) == X - ONE
+        assert poly_from_text("1/2*x + 1/3*x", NAMES) == X.scale(QQ(5, 6))
+        assert run_scenario(json.loads(load_scenario_text("ore-shift")))["aggregate"] == "pass"
+        assert written[int] and not written[Fraction]
+
     def test_gcd_divides_and_coprime_random(self):
         rng = random.Random(101)
         for _ in range(40):
@@ -240,6 +262,11 @@ class TestRatFunc:
         d = (X + ONE) * d
         single = rf(ONE, d) + rf(X * X, d)
         assert single == rf(X + ONE).invert() and single.fac == rf(X + ONE).invert().fac
+
+    def test_construction_through_the_gcd_keeps_a_known_factorization(self):
+        # x*(x + 1) is not a base factor, but the reduced denominator x + 1 is
+        r = rf(X, X * (X + ONE))
+        assert r == rf(X + ONE).invert() and r.fac == rf(X + ONE).invert().fac
 
 
 class TestSubstitute:

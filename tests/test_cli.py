@@ -271,6 +271,18 @@ class TestExitCodes:
         assert main(["run", str(path), "--cap-dim", "100"]) == 3
         assert "ball size 113 exceeded the cap 100" in capsys.readouterr().err
 
+    def test_cap_dim_bounds_the_center_search_monomials(self, tmp_path, capsys):
+        assert main(["run", "center-ww", "--cap-dim", "14"]) == 3
+        assert "15 monomials of degree <= 4 exceed the cap 14" in capsys.readouterr().err
+        # C(40 + 6, 6) monomials in the six non-parameter variables of gt-3:
+        # refused before any is listed
+        scenario = {"algebra": {"kind": "gt", "n": 3},
+                    "jobs": [{"op": "center_candidates", "degree_bound": 40}]}
+        path = tmp_path / "center.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["run", str(path)]) == 3
+        assert "9366819 monomials of degree <= 40 exceed the cap 4096" in capsys.readouterr().err
+
 
 class TestJobValidation:
     BALLS = {"name": "balls", "op": "monoid_growth",

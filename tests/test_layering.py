@@ -2,7 +2,8 @@
 pairs and denominator factorizations, and only it reads a polynomial's
 integer numerators ``ints`` and their common denominator ``denom``; the other
 modules of the package reach them through public methods such as
-``RatFunc.map``."""
+``RatFunc.map``.  No module imports another module's private names, apart
+from the few arith shares."""
 
 import ast
 from pathlib import Path
@@ -18,9 +19,13 @@ SHARED_PRIVATE = {"_accumulate", "_strip"}
 PRIVATE_SLOTS = ("terms", "ints", "denom", "fac")
 
 
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
 def _violations(path):
     out = []
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for node in ast.walk(_tree(path)):
         where = f"{path.name}:{getattr(node, 'lineno', '?')}"
         if isinstance(node, ast.Attribute) and node.attr in PRIVATE_SLOTS:
             out.append(f"{where} reads .{node.attr}")
@@ -32,10 +37,6 @@ def _violations(path):
             and node.func.value.id in ("Polynomial", "RatFunc")
         ):
             out.append(f"{where} calls {node.func.value.id}._raw")
-        elif isinstance(node, ast.ImportFrom) and node.module in ("arith", "skewmon.arith"):
-            for alias in node.names:
-                if alias.name.startswith("_") and alias.name not in SHARED_PRIVATE:
-                    out.append(f"{where} imports arith.{alias.name}")
     return out
 
 
@@ -44,3 +45,32 @@ def test_only_arith_builds_terms_pairs_and_factorizations():
     assert len(modules) > 5
     violations = [v for p in modules for v in _violations(p)]
     assert not violations, violations
+
+
+def test_no_module_imports_private_names_but_the_shared_arith_ones():
+    violations = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            shared = SHARED_PRIVATE if node.module in ("arith", "skewmon.arith") else ()
+            violations += [
+                f"{path.name}:{node.lineno} imports {node.module}.{alias.name}"
+                for alias in node.names
+                if alias.name.startswith("_") and not alias.name.startswith("__")
+                and alias.name not in shared
+            ]
+    assert not violations, violations
+
+
+def test_inside_arith_only_repr_and_substitution_read_the_rational_view():
+    # every kernel runs on the integer numerators; the rational view is for
+    # display and for the coefficient-by-coefficient substitution
+    readers = {
+        fn.name
+        for fn in ast.walk(_tree(SRC / "arith.py"))
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and node.attr == "terms"
+    }
+    assert readers == {"__repr__", "_ratfunc_substitute"}

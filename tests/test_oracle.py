@@ -319,7 +319,7 @@ def test_pseudo_remainder_of_rational_views():
 
 def test_poly_gcd_of_univariate_pairs():
     # both cofactors and the planted factor lie in one variable, so poly_gcd
-    # takes its univariate (monic Euclid) branch
+    # takes its univariate branch: Euclid on the integer numerators
     rng = random.Random(73)
     mismatches = []
     for _ in range(CASES):

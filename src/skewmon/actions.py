@@ -132,7 +132,7 @@ class ShiftAut(Automorphism):
         return f.map(self.apply_poly)
 
     def inverse(self):
-        return ShiftAut(self.table, tuple(-c for c in self.offsets))
+        return self.power(-1)
 
     def power(self, k):
         return ShiftAut(self.table, tuple(c * k for c in self.offsets))
@@ -169,11 +169,7 @@ class ScalingAut(Automorphism):
         return f.scale_vars(self.coeffs, self.exps)
 
     def inverse(self):
-        return ScalingAut(
-            self.table,
-            tuple(QQ(1, c) for c in self.coeffs),
-            tuple(tuple(-x for x in e) for e in self.exps),
-        )
+        return self.power(-1)
 
     def power(self, k):
         return ScalingAut(
@@ -421,7 +417,7 @@ class Context:
 
     __slots__ = (
         "table", "mode", "generators", "nonneg", "group", "coord_vars", "key_group",
-        "_certified", "_auts",
+        "_coord_of", "_certified", "_auts",
     )
 
     def __init__(
@@ -441,6 +437,8 @@ class Context:
         self.group = group if group is not None else Group.trivial(table)
         self.coord_vars = tuple(coord_vars) if coord_vars is not None else None
         self.key_group = key_group
+        # acted variable -> the lattice coordinate attached to it
+        self._coord_of = {v: i for i, v in enumerate(self.coord_vars or ())}
         self._certified = set()  # permutations whose lattice conjugation is proven
         self._auts = {}  # lattice key -> its automorphism, built on first use
         if mode == LATTICE:
@@ -538,10 +536,9 @@ class Context:
         """The lattice key whose coordinates are those of key, moved by perm."""
         if self.coord_vars is None:
             return tuple(key)
-        var_of = {v: i for i, v in enumerate(self.coord_vars)}
         out = [0] * len(key)
         for i, v in enumerate(self.coord_vars):
-            j = var_of.get(perm[v])
+            j = self._coord_of.get(perm[v])
             if j is None:
                 raise NormalizationViolationError(
                     "permutation moves an acted variable outside the lattice"

@@ -189,6 +189,15 @@ def theta_relation_set(n):
 # ---------------------------------------------------------------------------
 
 
+def _same_length(vectors, what):
+    """Raise PreconditionError at the first vector not as long as the first."""
+    for i, v in enumerate(vectors[1:], start=2):
+        if len(v) != len(vectors[0]):
+            raise PreconditionError(
+                f"{what} {i} has length {len(v)}, {what} 1 has length {len(vectors[0])}"
+            )
+
+
 def smith_normal_form(rows):
     """Exact Smith normal form data of an integer matrix.
 
@@ -196,6 +205,7 @@ def smith_normal_form(rows):
     divisibility chain d_1 | d_2 | ... | d_rank.
     """
     a = [list(int(x) for x in r) for r in rows]
+    _same_length(a, "row")
     m = len(a)
     n = len(a[0]) if m else 0
     divisors = []
@@ -656,6 +666,7 @@ def monoid_growth(generators, k_max, dim_cap=DEFAULT_DIM_CAP):
         if hasattr(g, "context") and g.context.mode != LATTICE:
             raise UnsupportedModeError("monoid growth needs a lattice-mode monoid")
         vectors.append(tuple(g.vector) if hasattr(g, "vector") else tuple(g))
+    _same_length(vectors, "generator")
     ball = {(0,) * len(vectors[0])}
     frontier = set(ball)
     sizes = []

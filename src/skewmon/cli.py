@@ -284,9 +284,10 @@ def _job_prefix(index, job):
 
 
 def _validate_job(index, job, kind):
-    """Check one job against JOBS, INT_PARAMS, the list parameters, the shape
-    of inline relations, TABLE_KINDS for the algebra ``kind`` and the
-    expectation keys; raise ScenarioError naming the job and the parameter."""
+    """Check one job against JOBS, INT_PARAMS, the list parameters, the
+    ``hecke_check`` mode, the shape of inline relations, TABLE_KINDS for the
+    algebra ``kind`` and the expectation keys; raise ScenarioError naming the
+    job and the parameter."""
     if not isinstance(job, dict):
         raise ScenarioError(f"job {index} must be a JSON object")
     op = job.get("op")
@@ -323,6 +324,14 @@ def _validate_job(index, job, kind):
             raise ScenarioError(
                 f"{where}: vanishing_value must be a rational, got {job['vanishing_value']!r}"
             ) from None
+    if op == "hecke_check":
+        mode = job.get("mode", "degenerate")
+        if mode not in ("degenerate", "q"):
+            raise ScenarioError(f"{where}: unknown mode {mode!r}")
+        if mode == "q" and job.get("vanishing_value") is None:
+            raise ScenarioError(
+                f"{where}: q mode needs the vanishing level of the shifted divisor"
+            )
     relations = job.get("relations", "gl")
     if relations != "gl" and not (
         isinstance(relations, list)

@@ -63,6 +63,23 @@ class AlgebraSpec:
         return self.generators[name]
 
 
+def _swap(n, i, j):
+    """The transposition of i and j in one-line notation on range(n)."""
+    perm = list(range(n))
+    perm[i], perm[j] = j, i
+    return tuple(perm)
+
+
+def _unit(n, i, value=1):
+    """The lattice vector of length n with ``value`` at i and 0 elsewhere."""
+    return tuple(value if c == i else 0 for c in range(n))
+
+
+def _unit_shifts(table, m):
+    """The shifts x_c -> x_c - 1 of the first m variables, in order."""
+    return [ShiftAut(table, _unit(table.nvars, c, -1)) for c in range(m)]
+
+
 # ---------------------------------------------------------------------------
 # Shift and q-shift operator algebras
 # ---------------------------------------------------------------------------
@@ -75,10 +92,7 @@ def build_shift_algebra(n, m, group_generators=None, group_cap=DEFAULT_GROUP_CAP
     (one-line notation over the n variables, 0-indexed).
     """
     table, group = _shift_table(n, m, (), group_generators, group_cap)
-    gens = [
-        ShiftAut(table, tuple(QQ(-1) if j == i else QQ(0) for j in range(n)))
-        for i in range(m)
-    ]
+    gens = _unit_shifts(table, m)
     return Context(table, LATTICE, gens, group=group, coord_vars=range(m))
 
 
@@ -90,11 +104,11 @@ def build_qshift_algebra(n, m, group_generators=None, group_cap=DEFAULT_GROUP_CA
     """
     table, group = _shift_table(n, m, ("q",), group_generators, group_cap)
     nv = table.nvars
-    gens = []
-    for i in range(m):
-        exps = [[0] * nv for _ in range(nv)]
-        exps[i][n] = 1  # x_i picks up one power of q
-        gens.append(ScalingAut(table, (QQ(1),) * nv, tuple(tuple(e) for e in exps)))
+    gens = [  # x_i picks up one power of q, the variable at index n
+        ScalingAut(table, (QQ(1),) * nv,
+                   tuple(_unit(nv, n) if j == i else (0,) * nv for j in range(nv)))
+        for i in range(m)
+    ]
     return Context(table, LATTICE, gens, group=group, coord_vars=range(m))
 
 
@@ -156,10 +170,8 @@ def gwa_embed(spec):
     rank = spec.rank
     gens = {}
     for i in range(rank):
-        up = tuple(1 if j == i else 0 for j in range(rank))
-        down = tuple(-1 if j == i else 0 for j in range(rank))
-        gens[f"X{i + 1}+"] = SkewElement.generator(ctx, up)
-        gens[f"X{i + 1}-"] = SkewElement.generator(ctx, down, spec.a[i])
+        gens[f"X{i + 1}+"] = SkewElement.generator(ctx, _unit(rank, i))
+        gens[f"X{i + 1}-"] = SkewElement.generator(ctx, _unit(rank, i, -1), spec.a[i])
     gamma = [
         RatFunc.variable(spec.table.nvars, i)
         for i in range(spec.table.n_acted + spec.table.n_fixed)
@@ -234,16 +246,6 @@ def witten_woronowicz_spec():
 # ---------------------------------------------------------------------------
 
 
-def _row_offsets(n):
-    # variables x_{ki}, 1 <= i <= k <= n, rows 1..n-1 acted, row n fixed
-    offsets = {}
-    pos = 0
-    for k in range(1, n + 1):
-        offsets[k] = pos
-        pos += k
-    return offsets
-
-
 def gt_embedding(n, group_cap=DEFAULT_GROUP_CAP):
     """Row-variable realization of the gl_n generators.
 
@@ -262,35 +264,23 @@ def gt_embedding(n, group_cap=DEFAULT_GROUP_CAP):
     """
     if n < 1:
         raise PreconditionError("rank must be at least 1")
-    off = _row_offsets(n)
     acted = [f"x{k}{i}" for k in range(1, n) for i in range(1, k + 1)]
     fixed = [f"x{n}{i}" for i in range(1, n + 1)]
     table = VariableTable(acted, fixed)
     nv = table.nvars
     m = len(acted)
 
-    group_gens = []
-    for k in range(2, n + 1):
-        base = off[k]
-        for i in range(k - 1):
-            perm = list(range(nv))
-            perm[base + i], perm[base + i + 1] = perm[base + i + 1], perm[base + i]
-            group_gens.append(tuple(perm))
-    group = Group.from_generators(table, group_gens, cap=group_cap)
+    def pos(k, i):  # index of x_{ki} (1-indexed): rows 1..k-1 hold k(k-1)/2 variables
+        return k * (k - 1) // 2 + i - 1
 
-    lattice_gens = [
-        ShiftAut(table, tuple(QQ(-1) if j == c else QQ(0) for j in range(nv)))
-        for c in range(m)
+    group_gens = [
+        _swap(nv, pos(k, i), pos(k, i + 1)) for k in range(2, n + 1) for i in range(1, k)
     ]
-    ctx = Context(table, LATTICE, lattice_gens, group=group, coord_vars=range(m))
+    group = Group.from_generators(table, group_gens, cap=group_cap)
+    ctx = Context(table, LATTICE, _unit_shifts(table, m), group=group, coord_vars=range(m))
 
-    def x(k, i):  # 1-indexed
-        return Polynomial.variable(nv, off[k] + i - 1)
-
-    def delta(k, i, sign):
-        return tuple(
-            sign if c == off[k] + i - 1 else 0 for c in range(m)
-        )
+    def x(k, i):
+        return Polynomial.variable(nv, pos(k, i))
 
     gens = {}
     for k in range(1, n):
@@ -306,13 +296,13 @@ def gt_embedding(n, group_cap=DEFAULT_GROUP_CAP):
             for j in range(1, k + 2):
                 num_up = num_up * (x(k, i) - x(k + 1, j))
             up = up + SkewElement.generator(
-                ctx, delta(k, i, 1), RatFunc.from_poly(num_up) * inv_den
+                ctx, _unit(m, pos(k, i)), RatFunc.from_poly(num_up) * inv_den
             )
             num_down = Polynomial.const(nv, 1)
             for j in range(1, k):
                 num_down = num_down * (x(k, i) - x(k - 1, j))
             down = down + SkewElement.generator(
-                ctx, delta(k, i, -1), RatFunc.from_poly(num_down) * inv_den
+                ctx, _unit(m, pos(k, i), -1), RatFunc.from_poly(num_down) * inv_den
             )
         gens[f"E{k}{k + 1}"] = up
         gens[f"E{k + 1}{k}"] = down
@@ -344,11 +334,7 @@ def symmetric_group_context(n, group_cap=DEFAULT_GROUP_CAP):
     if n < 2:
         raise PreconditionError("need at least two variables")
     table = VariableTable([f"x{i}" for i in range(1, n + 1)])
-    gens = []
-    for i in range(n - 1):
-        perm = list(range(n))
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        gens.append(tuple(perm))
+    gens = [_swap(n, i, i + 1) for i in range(n - 1)]
     key_group = Group.from_generators(table, gens, cap=group_cap)
     return Context(table, FINITE_GROUP, key_group=key_group)
 
@@ -361,13 +347,8 @@ def demazure_elements(n, group_cap=DEFAULT_GROUP_CAP):
     for i in range(n - 1):
         alpha = Polynomial.variable(nv, i) - Polynomial.variable(nv, i + 1)
         inv_alpha = RatFunc.from_poly(alpha).invert()
-        s_i = list(range(n))
-        s_i[i], s_i[i + 1] = s_i[i + 1], s_i[i]
         out.append(
-            SkewElement(
-                ctx,
-                {tuple(s_i): inv_alpha, ctx.key_identity(): -inv_alpha},
-            )
+            SkewElement(ctx, {_swap(n, i, i + 1): inv_alpha, ctx.key_identity(): -inv_alpha})
         )
     return out
 
@@ -424,9 +405,7 @@ def hecke_membership_check(element, mode="degenerate", vanishing_value=None):
 
     for (i, j), h in zip(roots, hyperplanes):
         alpha_name = f"{names[i]}-{names[j]}"
-        s_alpha = list(range(n))
-        s_alpha[i], s_alpha[j] = s_alpha[j], s_alpha[i]
-        s_alpha = tuple(s_alpha)
+        s_alpha = _swap(n, i, j)
 
         orders = {}
 

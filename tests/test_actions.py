@@ -5,6 +5,7 @@ import pytest
 
 from skewmon.arith import Polynomial, QQ, RatFunc
 from skewmon.actions import (
+    FINITE_GROUP,
     Context,
     GeneralAut,
     Group,
@@ -32,10 +33,11 @@ from skewmon.constructors import (
     GWASpec,
     build_qshift_algebra,
     build_shift_algebra,
+    demazure_elements,
     gt_embedding,
     symmetric_group_context,
 )
-from skewmon.skewring import is_invariant
+from skewmon.skewring import SkewElement, g_action, is_invariant
 
 
 def swap_context():
@@ -367,6 +369,35 @@ class TestConjugationCertificate:
         partial = build_shift_algebra(3, 2)
         with pytest.raises(NormalizationViolationError, match="outside the lattice"):
             partial.conjugate_key(PermutationAut(partial.table, (2, 1, 0)), (1, 0))
+
+    def test_keys_stay_put_without_coordinate_variables(self):
+        # the swap of x and y commutes with the shift of z
+        t = VariableTable(["x", "y", "z"])
+        group = Group.from_generators(t, [(1, 0, 2)])
+        ctx = Context(t, LATTICE, [ShiftAut(t, (0, 0, -1))], group=group)
+        assert ctx.coord_vars is None
+        assert ctx.conjugate_key(list(group)[1], (3,)) == (3,)
+
+    def test_finite_group_keys_conjugate_by_the_group(self):
+        # S_3 acting on its own keys: g_action is multiplicative, and a sum
+        # over the group is invariant (that of theta1 alone is zero)
+        W = symmetric_group_context(3).key_group
+        ctx = Context(W.table, FINITE_GROUP, group=W, key_group=W)
+        th1, th2 = (SkewElement(ctx, dict(th.coeffs)) for th in demazure_elements(3))
+        for g in W:
+            assert g_action(g, th1 * th2) == g_action(g, th1) * g_action(g, th2)
+        u = SkewElement.scalar(ctx, ctx.table.var("x1")) * th1
+        symmetrized = SkewElement.zero(ctx)
+        for g in W:
+            symmetrized = symmetrized + g_action(g, u)
+        assert not is_invariant(u)
+        assert not symmetrized.is_zero() and is_invariant(symmetrized)
+
+    def test_finite_group_key_conjugated_out_of_its_group(self):
+        t = VariableTable(["x1", "x2", "x3"])
+        ctx = Context(t, FINITE_GROUP, key_group=Group.from_generators(t, [(1, 0, 2)]))
+        with pytest.raises(NormalizationViolationError, match="left the key group"):
+            ctx.conjugate_key(PermutationAut(t, (0, 2, 1)), (1, 0, 2))
 
 
 def mixed_context():

@@ -168,6 +168,12 @@ class TestSmithNormalForm:
         for a, b in zip(divisors, divisors[1:]):
             assert b % a == 0
 
+    def test_ragged_rows_are_rejected(self):
+        with pytest.raises(PreconditionError, match="row 2 has length 3, row 1 has length 2"):
+            smith_normal_form([[2, 0], [0, 3, 7]])
+        with pytest.raises(PreconditionError, match="length 3, row 1 has length 2"):
+            lattice_contains([[1, 0], [0, 1]], [1, 0, 5])
+
     def test_membership_oracle_random(self):
         # certified classes: true members, rational-span outsiders, and
         # fractional-solution outsiders for full-rank square matrices
@@ -657,6 +663,11 @@ class TestMonoidGrowth:
 
     def test_n1_monoid(self):
         assert monoid_growth([(1,)], 8) == list(range(2, 10))
+
+    def test_ragged_generators_are_rejected(self):
+        with pytest.raises(PreconditionError,
+                           match="generator 2 has length 3, generator 1 has length 2"):
+            monoid_growth([(1, 0), (0, 1, 5)], 3)
 
     def test_ball_above_the_dimension_cap_raises(self):
         # |B_k| = 2k^2 + 2k + 1 crosses 100 at k = 7

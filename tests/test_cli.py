@@ -388,6 +388,18 @@ class TestJobValidation:
             "job 2 'second' (verify_relations): "
             "verify_relations: the default gl table needs a gt algebra block")
 
+    @pytest.mark.parametrize("extra, message", [
+        ({"mode": "bogus"}, "unknown mode 'bogus'"),
+        ({"mode": "q"}, "q mode needs the vanishing level of the shifted divisor"),
+    ], ids=["unknown-mode", "q-mode-without-level"])
+    def test_hecke_mode_fails_before_any_job_runs(self, monkeypatch, tmp_path, capsys,
+                                                  extra, message):
+        jobs = [{"name": "first", "op": "hecke_check", "element": "theta1"},
+                dict({"name": "second", "op": "hecke_check", "element": "theta2"}, **extra)]
+        self._fails_before_any_job_runs(
+            monkeypatch, tmp_path, capsys, {"kind": "nilhecke", "n": 3}, jobs,
+            f"job 2 'second' (hecke_check): {message}")
+
     @pytest.mark.parametrize("job, message", [
         ({"op": "growth_profile", "frame": 5, "k_max": 2}, "frame must be a list, got 5"),
         ({"op": "standard_identity", "elements": "E12"}, "elements must be a list, got 'E12'"),

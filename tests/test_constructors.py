@@ -253,6 +253,17 @@ class TestGT:
         with pytest.raises(ResourceCapError):
             gt_embedding(3, group_cap=5)
 
+    def test_row_group_generator_order(self):
+        # the order of the generators fixes the group enumeration order
+        assert gt_embedding(4).context.group.gen_perms == (
+            (0, 2, 1, 3, 4, 5, 6, 7, 8, 9),
+            (0, 1, 2, 4, 3, 5, 6, 7, 8, 9),
+            (0, 1, 2, 3, 5, 4, 6, 7, 8, 9),
+            (0, 1, 2, 3, 4, 5, 7, 6, 8, 9),
+            (0, 1, 2, 3, 4, 5, 6, 8, 7, 9),
+            (0, 1, 2, 3, 4, 5, 6, 7, 9, 8),
+        )
+
 
 class TestDemazure:
     def test_theta1_form(self):
@@ -264,6 +275,22 @@ class TestDemazure:
     def test_group_cap(self):
         with pytest.raises(ResourceCapError):
             demazure_elements(4, group_cap=5)  # |S_4| = 24
+
+    def test_key_group_enumeration_order(self):
+        assert symmetric_group_context(4).key_group.perms == (
+            (0, 1, 2, 3), (1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2), (1, 2, 0, 3),
+            (1, 0, 3, 2), (2, 0, 1, 3), (0, 2, 3, 1), (0, 3, 1, 2), (2, 1, 0, 3),
+            (1, 2, 3, 0), (1, 3, 0, 2), (2, 0, 3, 1), (0, 3, 2, 1), (3, 0, 1, 2),
+            (2, 1, 3, 0), (1, 3, 2, 0), (3, 1, 0, 2), (2, 3, 0, 1), (3, 0, 2, 1),
+            (2, 3, 1, 0), (3, 1, 2, 0), (3, 2, 0, 1), (3, 2, 1, 0),
+        )
+
+    def test_theta_keys(self):
+        assert [list(th.coeffs) for th in demazure_elements(4)] == [
+            [(1, 0, 2, 3), (0, 1, 2, 3)],
+            [(0, 2, 1, 3), (0, 1, 2, 3)],
+            [(0, 1, 3, 2), (0, 1, 2, 3)],
+        ]
 
     def test_square_zero(self):
         for n in (2, 3, 4):
@@ -361,6 +388,19 @@ class TestHeckeCheck:
         bad_elem = SkewElement(ctx, {(1, 0): RatFunc.from_poly(alpha + one)})
         report2 = hecke_membership_check(bad_elem, mode="q", vanishing_value=1)
         assert any("cond4" in c.name for c in report2.failures())
+
+    def test_q_mode_higher_order_pole_leaves_restriction_undefined(self):
+        ctx = symmetric_group_context(2)
+        x1 = Polynomial.variable(2, 0)
+        alpha = x1 - Polynomial.variable(2, 1)
+        elem = SkewElement(ctx, {(1, 0): RatFunc.from_poly(alpha * alpha).invert(),
+                                 (0, 1): RatFunc.from_poly(x1)})
+        report = hecke_membership_check(elem, mode="q", vanishing_value=1)
+        cond4 = [c for c in report.checks if c.name.startswith("cond4")]
+        assert [(c.name, c.status, c.residual) for c in cond4] == [
+            ("cond4: f_(2 1) vanishes on x1-x2 = 1", "fail",
+             "higher-order pole; restriction undefined"),
+        ]
 
     def test_q_mode_requires_level(self):
         th = demazure_elements(2)[0]

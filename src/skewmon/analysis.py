@@ -2,11 +2,14 @@
 
 Everything here is exact: relation residuals are normalized skew elements,
 lattice computations use integer Smith normal form, and span dimensions are
-computed by Gaussian elimination over the parameter fraction field after
-clearing coefficient denominators per monoid key.  A growth profile keeps one
-reducer for the whole run and multiplies only the basis elements that entered
-at the last layer by the frame; the per-key denominators only grow, and when
-one grows the stored basis is re-coordinatized into a fresh reducer.
+computed by Gaussian elimination over the coefficient field after clearing
+coefficient denominators per monoid key.  That field is Q, with plain
+``int``/``Fraction`` entries, when the table has no parameter variables, and
+the parameter fraction field, with RatFunc entries, otherwise.  A growth
+profile keeps one reducer for the whole run and multiplies only the basis
+elements that entered at the last layer by the frame; the per-key
+denominators only grow, and when one grows the stored basis is
+re-coordinatized into a fresh reducer.
 
 The one approximate quantity in the package is the fitted log-log growth
 slope, which is reported as a rational approximation (``slope``) and as a
@@ -19,7 +22,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import permutations
 
-from .arith import Polynomial, RatFunc, _accumulate, poly_lcm
+from .arith import QQ, Polynomial, RatFunc, _accumulate, poly_lcm
 from .actions import LATTICE
 from .errors import (
     ContextMismatchError,
@@ -291,30 +294,42 @@ def support_lattice_rank(elements):
 
 
 # ---------------------------------------------------------------------------
-# Linear algebra over the parameter fraction field
+# Linear algebra over the coefficient field
 # ---------------------------------------------------------------------------
 
 
 class _SpanReducer:
-    """Incremental row reduction over the parameter fraction field.
+    """Incremental row echelon form over the coefficient field.
 
-    Vectors are dicts mapping sortable coordinates to RatFunc entries whose
-    numerator and denominator involve parameter variables only.
+    Vectors are dicts mapping sortable coordinates to entries of one field:
+    exact rationals (``int`` or ``Fraction``) when the table has no parameter
+    variables, else RatFunc entries whose numerator and denominator involve
+    parameter variables only.  A stored row with pivot p is e_p + tail, where
+    every coordinate of the tail is larger than p; ``pivot_rows[p]`` holds
+    only the tail, so eliminating a coordinate removes it outright.
+
+    ``add`` keeps the rows in echelon form: it reduces the new vector against
+    the stored rows and never the stored rows against it.  That decides
+    independence, hence the rank and every accept/reject decision, exactly as
+    a fully reduced basis would.  A caller that reads the rows themselves,
+    such as ``center_candidates`` reading a kernel, first runs
+    ``back_substitute``, which brings them to reduced echelon form.
     """
 
     def __init__(self):
-        self.pivot_rows = {}  # pivot coordinate -> reduced row
+        self.pivot_rows = {}  # pivot coordinate -> tail of its row
 
     def _reduce(self, vec):
-        # eliminating the smallest pivot coordinate can only introduce larger
-        # coordinates, so this loop terminates
+        # a tail holds only coordinates above its pivot, so eliminating the
+        # smallest pivot coordinate can only introduce larger ones, and this
+        # loop terminates
         vec = dict(vec)
         pivot_rows = self.pivot_rows
         while True:
             hit = min((c for c in vec if c in pivot_rows), default=None)
             if hit is None:
                 return vec
-            _accumulate(vec, pivot_rows[hit].items(), coeff=-vec[hit])
+            _accumulate(vec, pivot_rows[hit].items(), coeff=-vec.pop(hit))
 
     def add(self, vec):
         """Reduce vec against the span; extend the basis if independent."""
@@ -322,13 +337,18 @@ class _SpanReducer:
         if not vec:
             return False
         pivot = min(vec)
-        inv = vec[pivot].invert()
-        vec = {c: v * inv for c, v in vec.items()}
-        for row in self.pivot_rows.values():
-            if pivot in row:
-                _accumulate(row, vec.items(), coeff=-row[pivot])
-        self.pivot_rows[pivot] = vec
+        c = vec.pop(pivot)
+        inv = c.invert() if isinstance(c, RatFunc) else QQ(1, c)
+        self.pivot_rows[pivot] = {k: v * inv for k, v in vec.items()}
         return True
+
+    def back_substitute(self):
+        """Clear every pivot coordinate from every tail (reduced echelon
+        form).  The rows are reduced from the largest pivot down, so each
+        tail meets only rows that are reduced already."""
+        rows = self.pivot_rows
+        for pivot in sorted(rows, reverse=True):
+            rows[pivot] = self._reduce(rows[pivot])
 
     def contains(self, vec):
         return not self._reduce(vec)
@@ -342,15 +362,17 @@ def _element_vectors(coeff_maps, table, common=None):
     """Coordinate vectors of key -> RatFunc maps against per-key common denominators.
 
     Coordinates are (key, non-parameter exponent tuple); entries live in the
-    parameter fraction field.  The per-key denominator is the lcm over all
-    the given maps and over ``common``, the per-key denominators of earlier
-    calls, which is updated in place; so the map to coordinates is linear on
-    every set coordinatized against the same ``common``.  Returns the vectors
-    and whether a key already in ``common`` got a larger denominator, which
-    makes vectors from earlier calls stale.
+    parameter fraction field, as RatFuncs, or in Q, as ``int`` or
+    ``Fraction``, when the table has no parameter variables.  The per-key
+    denominator is the lcm over all the given maps and over ``common``, the
+    per-key denominators of earlier calls, which is updated in place; so the
+    map to coordinates is linear on every set coordinatized against the same
+    ``common``.  Returns the vectors and whether a key already in ``common``
+    got a larger denominator, which makes vectors from earlier calls stale.
     """
     one = Polynomial.const(table.nvars, 1)
     np_count = table.n_acted + table.n_fixed
+    params = np_count < table.nvars
     common = {} if common is None else common
     held = set(common)
     grown = False
@@ -367,8 +389,12 @@ def _element_vectors(coeff_maps, table, common=None):
         vec = {}
         for key, c in coeffs.items():
             cleared = c.num * common[key].divide_exact(c.den)
-            for head, tail_poly in cleared.split_head(np_count).items():
-                vec[(key, head)] = RatFunc.from_poly(tail_poly)
+            if params:
+                for head, tail in cleared.split_head(np_count).items():
+                    vec[(key, head)] = RatFunc.from_poly(tail)
+            else:  # each exponent is a whole head, and its coefficient the entry
+                for head, entry in cleared.coefficients().items():
+                    vec[(key, head)] = entry
         vectors.append(vec)
     return vectors, grown
 
@@ -421,7 +447,7 @@ def center_candidates(spec, degree_bound):
     for e in monos:
         x_e = RatFunc.from_poly(Polynomial.monomial(table.nvars, e))
         columns.append({ai: fix(x_e) - x_e for ai, fix in enumerate(fixers)})
-    rows = {}  # (fixer index, constraint coordinate) -> {column: RatFunc entry}
+    rows = {}  # (fixer index, constraint coordinate) -> {column: field entry}
     for col, vec in enumerate(_element_vectors(columns, table)[0]):
         for coord, entry in vec.items():
             rows.setdefault(coord, {})[col] = entry
@@ -429,18 +455,21 @@ def center_candidates(spec, degree_bound):
     reducer = _SpanReducer()
     for coord in sorted(rows):
         reducer.add(rows[coord])
+    reducer.back_substitute()
     pivot_rows = reducer.pivot_rows
 
     basis = []
     for col, e in enumerate(monos):
         if col in pivot_rows:
             continue
-        coeffs = {col: RatFunc.const(table.nvars, 1)}
+        coeffs = {col: 1}
         for pcol, prow in pivot_rows.items():
             if col in prow:
                 coeffs[pcol] = -prow[col]
         p = RatFunc.zero(table.nvars)
         for c, v in coeffs.items():
+            if not isinstance(v, RatFunc):
+                v = RatFunc.const(table.nvars, v)
             p = p + v * RatFunc.from_poly(Polynomial.monomial(table.nvars, monos[c]))
         # canonical representative: the grlex-leading non-parameter monomial
         # gets coefficient exactly 1

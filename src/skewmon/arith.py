@@ -117,7 +117,7 @@ def _accumulate(out, terms, coeff=None, shift=None):
             c = c * coeff
         s = out.get(key)
         c = c if s is None else s + c
-        if c:  # an int, or a RatFunc in skew sums and reducer rows
+        if c:  # an int, or a QQ or RatFunc in skew sums and reducer rows
             out[key] = c
         else:
             out.pop(key, None)
@@ -213,6 +213,14 @@ class Polynomial:
         denom = self.denom
         if denom == 1:
             return self.ints
+        return {e: QQ(c, denom) for e, c in self.ints.items()}
+
+    def coefficients(self):
+        """A new dict ``{exponents: coefficient}``, each coefficient an exact
+        rational as ``QQ`` gives it; unlike ``terms``, the caller may keep it."""
+        denom = self.denom
+        if denom == 1:
+            return dict(self.ints)
         return {e: QQ(c, denom) for e, c in self.ints.items()}
 
     # -- basic queries -------------------------------------------------------
@@ -779,18 +787,33 @@ def _single_factor(den):
     return ((_factor_key(den), 1),) if _pivot(den) is not None else None
 
 
-def _map_factors(r, image):
-    """The factorization of the image of r's denominator under a ring
-    automorphism that maps a polynomial p to ``image(p)`` up to a scalar; None
-    when r has none or some factor's image is not a base factor."""
-    if not r.fac:
-        return r.fac
+def _map_factors(r, image, low=None):
+    """The factorization of the image of r's denominator under a map that is
+    ``image`` on polynomials up to a scalar: a ring automorphism, or a
+    monomial scaling whose images may be Laurent.  Each factor's image splits
+    into a monomial and a rest that must be a base factor; the monomials, less
+    ``low`` (the monomial that both images of a coprime pair shed), are
+    carried as base factors x_v.  None when r has no factorization or some
+    rest is not a base factor."""
+    if r.fac is None:
+        return None
+    nvars = r.nvars
+    mono = [-x for x in low] if low else [0] * nvars
     out = []
     for key, e in r.fac:
-        g = image(_factor_poly(key, r.nvars)).monic()
-        if _pivot(g) is None:
-            return None
-        out.append((_factor_key(g), e))
+        g = image(_factor_poly(key, nvars))
+        m = g.monomial_content()
+        if any(m):
+            g = g._shifted([-x for x in m])
+            mono = [a + e * x for a, x in zip(mono, m)]
+        if not g.is_constant():
+            g = g.monic()
+            if _pivot(g) is None:
+                return None
+            out.append((_factor_key(g), e))
+    # the map is invertible on Laurent polynomials, so the rests of distinct
+    # factors are distinct, and none is a monomial
+    out += [(_factor_key(Polynomial.variable(nvars, v)), e) for v, e in enumerate(mono) if e]
     return tuple(out)
 
 
@@ -987,8 +1010,9 @@ class RatFunc:
         """The image of self under x_i -> coeffs[i] * x^exps[i] * x_i.  Distinct
         monomials have distinct images, so each term is written once.  The
         images of a coprime pair can share only a monomial, which the smallest
-        exponent of each variable removes; the factorization is then the one
-        ``_single_factor`` finds, if any."""
+        exponent of each variable removes.  A factored denominator stays
+        factored: each factor's image is a monomial times a base factor, and
+        the monomials left after that removal are base factors x_v."""
         nvars = self.nvars
         unit = all(c == 1 for c in coeffs)
 
@@ -1012,13 +1036,9 @@ class RatFunc:
         num, den = image(self.num), image(self.den)
         low = tuple(map(min, zip(*num.ints, *den.ints)))
         if any(low):
-            fac = None
-            low = [-x for x in low]
-            num, den = num._shifted(low), den._shifted(low)
-        else:
-            fac = _map_factors(self, image)
-            if fac and any(min(e) < 0 for (ints, _), _ in fac for e, _ in ints):
-                fac = None  # a negative power in a multiplier left a factor's image Laurent
+            shift = [-x for x in low]
+            num, den = num._shifted(shift), den._shifted(shift)
+        fac = _map_factors(self, image, low)
         num, den = _monic_den(num, den)
         return RatFunc._raw(num, den, _single_factor(den) if fac is None else fac)
 

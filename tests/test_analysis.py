@@ -629,6 +629,40 @@ class TestGrowth:
         assert profile.dims == [(k + 1) * (k + 2) // 2 for k in range(1, 13)]
         assert len(products) <= len(frame) * profile.dims[10]  # 234
 
+    def test_parameter_free_frame_reduces_in_q_without_ratfuncs(self, monkeypatch):
+        # the Weyl frame of the bench growth workload: shift_algebra(2, 2) has
+        # no parameters, so the reducer's entries are exact rationals
+        ctx = build_shift_algebra(2, 2)
+        frame = [
+            SkewElement.one(ctx),
+            SkewElement.scalar(ctx, ctx.table.var("x1")),
+            SkewElement.generator(ctx, (1, 0)),
+        ]
+        ops = []
+        for name in ("__add__", "__sub__", "__mul__", "__neg__", "__bool__", "invert"):
+            monkeypatch.setattr(RatFunc, name, counting(ops, getattr(RatFunc, name)))
+        ops_per_add = []
+
+        def add(reducer, vec, add=analysis._SpanReducer.add):
+            before = len(ops)
+            accepted = add(reducer, vec)
+            ops_per_add.append(len(ops) - before)
+            return accepted
+
+        entries = []
+
+        def element_vectors(*args, element_vectors=analysis._element_vectors):
+            vectors, grown = element_vectors(*args)
+            entries.extend(v for vec in vectors for v in vec.values())
+            return vectors, grown
+
+        monkeypatch.setattr(analysis._SpanReducer, "add", add)
+        monkeypatch.setattr(analysis, "_element_vectors", element_vectors)
+        profile = growth_profile(frame, 12)
+        assert profile.dims == [(k + 1) * (k + 2) // 2 for k in range(1, 13)]
+        assert ops_per_add and set(ops_per_add) == {0}
+        assert entries and {type(v) for v in entries} <= {int, Fraction}
+
     def test_rebuilds_match_fresh_reductions(self):
         # every product by 1/x1 or e1 raises a denominator of key (0,) or
         # (1,), so each layer re-coordinatizes the stored basis

@@ -17,9 +17,13 @@ sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
 from skewmon.actions import LATTICE, Context, Group, ScalingAut, ShiftAut, VariableTable  # noqa: E402
-from skewmon.analysis import center_candidates, smith_normal_form  # noqa: E402
+from skewmon.analysis import _SpanReducer, center_candidates, smith_normal_form  # noqa: E402
 from skewmon.arith import (  # noqa: E402
+    QQ,
     Polynomial,
     RatFunc,
     _pseudo_rem,
@@ -487,3 +491,49 @@ def test_center_candidates_span_the_invariant_space(build):
         got.append([poly.coeff_monomial(m) for m in monos])
     # equal dimensions and a joint rank of that dimension: the same space
     assert len(got) == len(want) == _rank(want) == _rank(got) == _rank(want + got)
+
+
+# Sparse vectors for the span reducer, over Q and over Q(q).  Four
+# coordinates make every list of five or more vectors dependent.
+WIDTH = 4
+Q = sympy.Symbol("q")
+rational_entries = st.fractions(-3, 3, max_denominator=3).filter(bool).map(QQ)
+q_linear = st.builds(lambda a, b: Polynomial(1, {(1,): a, (0,): b}),
+                     st.integers(-2, 2), st.integers(-2, 2)).filter(bool)
+q_entries = st.builds(RatFunc, q_linear, q_linear)
+
+
+def _sparse_vectors(entries):
+    return st.lists(st.dictionaries(st.integers(0, WIDTH - 1), entries, max_size=WIDTH),
+                    max_size=7)
+
+
+def _dense(vec):
+    return [
+        to_sympy(vec[c], (Q,)) if isinstance(vec.get(c), RatFunc) else sympy.Rational(vec.get(c, 0))
+        for c in range(WIDTH)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_sparse_vectors(rational_entries), _sparse_vectors(q_entries)))
+def test_reducer_accepts_exactly_the_vectors_that_raise_the_rank(vectors):
+    dense = [_dense(v) for v in vectors]
+    reducer = _SpanReducer()
+    rank = 0
+    for i, vec in enumerate(vectors):
+        accepted = reducer.add(vec)
+        prefix_rank = _rank(dense[: i + 1])
+        assert accepted == (prefix_rank > rank)
+        rank = prefix_rank
+        assert reducer.dimension == rank
+    # reduced echelon rows e_p + tail span the same space
+    reducer.back_substitute()
+    rows = reducer.pivot_rows
+    assert not [c for tail in rows.values() for c in tail if c in rows]
+    dense_rows = [_dense({p: QQ(1), **tail}) for p, tail in rows.items()]
+    assert (_rank(dense_rows) if rows else 0) == rank
+    if dense:
+        assert _rank(dense_rows + dense) == rank
+    if not any(isinstance(v, RatFunc) for vec in vectors for v in vec.values()):
+        assert {type(v) for tail in rows.values() for v in tail.values()} <= {int, Fraction}

@@ -39,7 +39,7 @@ from skewmon.arith import (  # noqa: E402
     substitute,
 )
 from skewmon.errors import DegenerateSubstitutionError  # noqa: E402
-from skewmon.constructors import build_shift_algebra  # noqa: E402
+from skewmon.constructors import build_qshift_algebra, build_shift_algebra  # noqa: E402
 from skewmon.skewring import SkewElement, g_action  # noqa: E402
 
 NV = 3
@@ -368,6 +368,24 @@ def test_factored_arithmetic_agrees_with_the_gcd_path(pairs, k, offsets, perm, s
             assert_factored(got)
     for x in [x for pair in kept + maybe for x in pair]:
         assert x.fac == () or not x.den.is_constant()
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["unshared-monomial", "shared-monomial"])
+def test_q_scaling_keeps_a_factorization_that_splits_off_a_monomial(shared):
+    # x_i -> q*x_i for both i maps x1 - x2 to q*(x1 - x2), so the monomial q
+    # splits off the image of the factor; with the numerator x1 the images of
+    # numerator and denominator also share q, which the scaling removes
+    ctx = build_qshift_algebra(2, 2)
+    assert ctx.table.nvars == NV
+    x1, x2 = ctx.table.var("x1"), ctx.table.var("x2")
+    r = (x1 - x2).invert()
+    if shared:
+        r = x1 * r * (x1 + x2).invert()
+    for key in [(1, 1), (-1, -1), (1, 0), (-1, 0), (2, -1)]:
+        got = ctx.act_key(key, r)
+        assert got.fac is not None, key
+        assert_factored(got)
+        assert got == ctx.act_key(key, _dropped(r))
 
 
 def assert_lowest_terms(*values):

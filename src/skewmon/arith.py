@@ -29,17 +29,19 @@ of a polynomial up to scalars has grlex leading coefficient 1, and a
 ``RatFunc`` stores a coprime numerator/denominator pair whose denominator is
 canonical in that sense.
 
-A ``RatFunc`` may also carry its denominator factored, as exponents over
-*base factors*: grlex-monic polynomials ``c*x_v + r`` of degree 1 in some
+A ``RatFunc`` may also carry its denominator factored, as an exponent dict
+over *base factors*: grlex-monic polynomials ``c*x_v + r`` of degree 1 in some
 pivot variable ``x_v``, with ``c`` a nonzero rational and ``r`` free of
 ``x_v``.  Such a factor is primitive of degree 1 in ``x_v``, hence
 irreducible, so distinct base factors are coprime.  The root-hyperplane forms
-``x_i - x_j + c`` and ``q*x_i - x_j`` are base factors.  Between factored
-operands, the gcd of two denominators is an exponent minimum, and a numerator
-is cancelled by synthetic division in each factor's pivot variable, so no
-polynomial gcd runs.  The division is by the factor's numerators, a primitive
-integer polynomial: by Gauss's lemma a quotient by it is integral, so every
-step is an exact integer division and the first inexact one proves a miss.
+``x_i - x_j + c`` and ``q*x_i - x_j`` are base factors.  A factor's key
+carries its pivot data, found once when the factor is recognized.  Between
+factored operands, the gcd of two denominators is an exponent minimum, the lcm
+a maximum, and a numerator is cancelled by synthetic division in each factor's
+pivot variable, so no polynomial gcd runs.  The division is by the factor's
+numerators, a primitive integer polynomial: by Gauss's lemma a quotient by it
+is integral, so every step is an exact integer division and the first inexact
+one proves a miss.
 The expanded ``den`` is kept as well and stays the canonical form; an operand
 without a factorization (``fac`` is None) takes the gcd path.
 
@@ -68,7 +70,6 @@ heuristic shortcuts are used.
 """
 
 import math
-from collections import Counter
 from fractions import Fraction
 from operator import add, sub
 
@@ -685,32 +686,29 @@ def _pivot(f):
     return None
 
 
+class _Factor(tuple):
+    """The key of a base factor f, hashed and compared as the pair
+    ``(frozenset(f.ints.items()), f.denom)``.  It carries f as ``poly`` and
+    the pivot ``v``, pivot numerator ``c`` and tail ``r`` of _divide_linear."""
+
+    def __new__(cls, f, v):
+        key = tuple.__new__(cls, (frozenset(f.ints.items()), f.denom))
+        key.poly, key.v = f, v
+        key.c = f.ints[(0,) * v + (1,) + (0,) * (f.nvars - v - 1)]
+        key.r = tuple((e, -a) for e, a in f.ints.items() if not e[v])
+        return key
+
+    def __getnewargs__(self):  # for copy and pickle, which would pass the pair
+        return self.poly, self.v
+
+
 def _strip(p, f, cap=None):
     """``(k, p/f^k)`` for the largest k, at most ``cap``, with f^k dividing p;
-    p must be nonzero and f a grlex-monic base factor.
-
-    A monic f is F/d for F = f.ints and d = f.denom = lc(F), so F is
-    primitive: F^k divides the numerators P of p exactly when f^k divides p,
-    and then P/F^k is integral (Gauss's lemma) with the content of P.  So
-    p/f^k = (P/F^k) * d^k / p.denom needs only the gcd of p.denom and d^k.
-    """
-    v = _pivot(f)
-    F = f.ints
-    c = F[tuple(int(i == v) for i in range(f.nvars))]
-    r = [(e, -a) for e, a in F.items() if not e[v]]
-    ints, k = p.ints, 0
-    while k != cap:
-        quotient = _divide_linear(ints, v, c, r)
-        if quotient is None:
-            break
-        ints, k = quotient, k + 1
-    if not k:
-        return 0, p
-    m = f.denom**k
-    g = math.gcd(p.denom, m)
-    if m != g:
-        ints = {e: a * (m // g) for e, a in ints.items()}
-    return k, Polynomial._raw(p.nvars, ints, p.denom // g)
+    p must be nonzero and f a grlex-monic base factor."""
+    key = _Factor(f, _pivot(f))
+    cap = p.degree_in(key.v) if cap is None else cap
+    p, left = _strip_factors(p, {key: cap})
+    return cap - left.get(key, 0), p
 
 
 def _divide_linear(ints, v, c, r):
@@ -721,8 +719,11 @@ def _divide_linear(ints, v, c, r):
     Synthetic division in x_v: the quotient coefficients q_{d-1} = (P_d +
     r*q_d)/c come out from the top degree down.  They are integral when F
     divides, so the first inexact division proves a miss; otherwise F divides
-    exactly when the last remainder P_0 + r*q_0 vanishes.
+    exactly when the last remainder P_0 + r*q_0 vanishes.  A nonzero P free
+    of x_v has no divisor of degree 1 in x_v.
     """
+    if not any(e[v] for e in ints):
+        return None
     view = {}
     for e, a in ints.items():
         view.setdefault(e[v], {})[e[:v] + (0,) + e[v + 1 :]] = a
@@ -746,37 +747,55 @@ def _divide_linear(ints, v, c, r):
             quotient[e[:v] + (d - 1,) + e[v + 1 :]] = a
 
 
-#: The factorization of a constant denominator, shared by every such RatFunc.
-_NO_FACTORS = ()
-
-
-def _factor_key(f):
-    """The key of a base factor f: its numerators and denom, in lowest terms."""
-    return frozenset(f.ints.items()), f.denom
-
-
-def _factor_poly(key, nvars):
-    ints, denom = key
-    return Polynomial._raw(nvars, dict(ints), denom)
+#: The factorization of a constant denominator; no factorization is mutated.
+_NO_FACTORS = {}
 
 
 def _expand(fac, nvars):
     """The monic polynomial prod f^e of a factorization ``{key of f: e}``."""
     out = None
     for key, e in fac.items():
-        f = _factor_poly(key, nvars) ** e
+        f = key.poly**e
         out = f if out is None else out * f
     return Polynomial.const(nvars, 1) if out is None else out
 
 
+def _times(fac, other, sign=1):
+    """The factorization fac * other**sign; with sign -1, other divides fac."""
+    out = dict(fac)
+    for key, e in other.items():
+        e = out.pop(key, 0) + sign * e
+        if e:
+            out[key] = e
+    return out or _NO_FACTORS
+
+
 def _strip_factors(p, fac):
     """``(p/h, fac/h)`` for h the largest divisor of p that divides the
-    factored polynomial ``fac`` (factor key -> exponent); fac/h is a Counter."""
-    left = Counter(fac)
+    factored polynomial ``fac``.
+
+    A monic f is F/d for F = f.ints and d = f.denom = lc(F), so F is
+    primitive: F^k divides the numerators P of p exactly when f^k divides p,
+    and then P/F^k is integral (Gauss's lemma) with the content of P.  So
+    p/h = (P/H) * lc(H) / p.denom needs only the gcd of p.denom and lc(H).
+    """
+    ints, left, m = p.ints, {}, 1
     for key, e in fac.items():
-        k, p = _strip(p, _factor_poly(key, p.nvars), e)
-        left[key] -= k
-    return p, +left
+        k = 0
+        while k != e:
+            quotient = _divide_linear(ints, key.v, key.c, key.r)
+            if quotient is None:
+                break
+            ints, k = quotient, k + 1
+        if k != e:
+            left[key] = e - k
+        m *= key[1] ** k
+    if ints is p.ints:
+        return p, left
+    g = math.gcd(p.denom, m)
+    if m != g:
+        ints = {e: a * (m // g) for e, a in ints.items()}
+    return Polynomial._raw(p.nvars, ints, p.denom // g), left
 
 
 def _single_factor(den):
@@ -784,37 +803,40 @@ def _single_factor(den):
     factor, and None for any other."""
     if den.is_constant():
         return _NO_FACTORS
-    return ((_factor_key(den), 1),) if _pivot(den) is not None else None
+    v = _pivot(den)
+    return None if v is None else {_Factor(den, v): 1}
 
 
 def _map_factors(r, image, low=None):
     """The factorization of the image of r's denominator under a map that is
-    ``image`` on polynomials up to a scalar: a ring automorphism, or a
-    monomial scaling whose images may be Laurent.  Each factor's image splits
-    into a monomial and a rest that must be a base factor; the monomials, less
+    ``image`` on polynomials up to a scalar: a ring automorphism, which keeps
+    a base factor irreducible, or a monomial scaling (``low`` given) whose
+    images may be Laurent.  A factor's image under a scaling splits into a
+    monomial and a rest that must be a base factor; the monomials, less
     ``low`` (the monomial that both images of a coprime pair shed), are
     carried as base factors x_v.  None when r has no factorization or some
-    rest is not a base factor."""
+    image or rest is not a base factor."""
     if r.fac is None:
         return None
     nvars = r.nvars
     mono = [-x for x in low] if low else [0] * nvars
-    out = []
-    for key, e in r.fac:
-        g = image(_factor_poly(key, nvars))
-        m = g.monomial_content()
+    out = {}
+    for key, e in r.fac.items():
+        g = image(key.poly)
+        m = g.monomial_content() if low else ()
         if any(m):
             g = g._shifted([-x for x in m])
             mono = [a + e * x for a, x in zip(mono, m)]
         if not g.is_constant():
             g = g.monic()
-            if _pivot(g) is None:
+            v = _pivot(g)
+            if v is None:
                 return None
-            out.append((_factor_key(g), e))
+            out[_Factor(g, v)] = e
     # the map is invertible on Laurent polynomials, so the rests of distinct
     # factors are distinct, and none is a monomial
-    out += [(_factor_key(Polynomial.variable(nvars, v)), e) for v, e in enumerate(mono) if e]
-    return tuple(out)
+    out.update((_Factor(Polynomial.variable(nvars, v), v), e) for v, e in enumerate(mono) if e)
+    return out
 
 
 def poly_lcm(p, q):
@@ -833,8 +855,8 @@ class RatFunc:
 
     Invariants: the denominator is nonzero and grlex-monic, and numerator and
     denominator are coprime.  Structural equality of canonical forms is
-    semantic equality.  ``fac`` holds the denominator as ``(factor key,
-    exponent)`` pairs over base factors, or None when it is not known.
+    semantic equality.  ``fac`` holds the denominator as exponents ``{factor
+    key: exponent}`` over base factors, or None when it is not known.
 
     A RatFunc is never mutated after construction.  The one slot that changes
     is the image cache of ``image``, set on first use, which maps an
@@ -860,9 +882,8 @@ class RatFunc:
             _, num, den = _cancel(num, den)
             fac = _single_factor(den)
         elif fac:
-            k, num = _strip(num, den, 1)
-            if k:
-                den, fac = Polynomial.const(num.nvars, 1), _NO_FACTORS
+            num, fac = _strip_factors(num, fac)
+            den = _expand(fac, num.nvars)
         self.num, self.den, self.fac = num, den, fac
 
     @classmethod
@@ -925,17 +946,17 @@ class RatFunc:
             _, num, g = _cancel(num, g)
             den = b1 * d1 * g
             return RatFunc._raw(num, den, _single_factor(den))
-        fb, fd = Counter(dict(self.fac)), Counter(dict(other.fac))
-        g = fb & fd  # gcd(b, d)
+        fb, fd = self.fac, other.fac
+        g = {key: min(e, fd[key]) for key, e in fb.items() if key in fd}  # gcd(b, d)
         if g:
-            b, d = _expand(fb - g, self.nvars), _expand(fd - g, self.nvars)
+            fb, fd = _times(fb, g, -1), _times(fd, g, -1)
+            b, d = _expand(fb, self.nvars), _expand(fd, self.nvars)
         num = self.num * d + other.num * b
         if num.is_zero():
             return RatFunc.zero(self.nvars)
-        # as above, only the factors of g can cancel
+        # as above, only the factors of g can cancel; b/g and d/g are coprime
         num, left = _strip_factors(num, g)
-        fac = (fb | fd) - (g - left)
-        return RatFunc._raw(num, b * d * _expand(left, self.nvars), tuple(fac.items()))
+        return RatFunc._raw(num, b * d * _expand(left, self.nvars), _times(_times(fb, fd), left))
 
     def __neg__(self):
         return RatFunc._raw(-self.num, self.den, self.fac)
@@ -955,11 +976,11 @@ class RatFunc:
             # monic denominators over the monic gcd: b*d is monic, and 1 when constant
             den = b * d
             return RatFunc._raw(a * c, den, _single_factor(den))
-        a, fd = _strip_factors(self.num, dict(other.fac))
-        c, fb = _strip_factors(other.num, dict(self.fac))
+        a, fd = _strip_factors(self.num, other.fac)
+        c, fb = _strip_factors(other.num, self.fac)
         b = self.den if c is other.num else _expand(fb, self.nvars)
         d = other.den if a is self.num else _expand(fd, self.nvars)
-        return RatFunc._raw(a * c, b * d, tuple((fb + fd).items()))
+        return RatFunc._raw(a * c, b * d, _times(fb, fd))
 
     def invert(self):
         if self.num.is_zero():
@@ -974,7 +995,7 @@ class RatFunc:
         if k < 0:
             return self.invert() ** (-k)
         # powers of a coprime pair are coprime, and of a monic polynomial monic
-        fac = self.fac and tuple((key, e * k) for key, e in self.fac)
+        fac = self.fac and {key: e * k for key, e in self.fac.items()}
         return RatFunc._raw(self.num**k, self.den**k, fac if k else _NO_FACTORS)
 
     def scale(self, c):

@@ -172,7 +172,7 @@ class TestAutomorphisms:
         g = ScalingAut(t, (1, 1, 1), ((0, 0, 0), (0, 0, 1), (0, 0, 0)))
         y, q = t.var("y"), t.var("q")
         image = g.apply(y / q)
-        assert image == y and image.fac == ()
+        assert image == y and image.fac == {}
 
     def test_integer_scaling_inverse_and_negative_power_are_exact(self):
         t = VariableTable(["h"])

@@ -258,10 +258,27 @@ class TestRatFunc:
         # x^2 + 1 is not a base factor, so these sums cancel through poly_gcd
         d = X * X + ONE
         one = rf(ONE, d) + rf(X * X, d)
-        assert one == rf(ONE) and one.fac == ()
+        assert one == rf(ONE) and one.fac == {}
         d = (X + ONE) * d
         single = rf(ONE, d) + rf(X * X, d)
         assert single == rf(X + ONE).invert() and single.fac == rf(X + ONE).invert().fac
+
+    def test_factored_sums_and_products_look_for_no_pivot(self, monkeypatch):
+        # the factor keys carry their pivot data, so arithmetic between
+        # factored operands never runs the pivot test again
+        inv = [rf(f).invert() for f in (X + ONE, X - Y, Y - ONE.scale(2))]
+        r, s = rf(Y) * inv[0] * inv[1], rf(X + ONE) * inv[1] * inv[2] ** 2
+        t = rf(X) * inv[0] * inv[1] + inv[1]  # cancels x + 1 in the sum
+        operands = [r, s, t, -r, r * s]
+        assert all(x.fac for x in operands)
+        calls = []
+        original = arith._pivot
+        monkeypatch.setattr(arith, "_pivot", lambda f: calls.append(f) or original(f))
+        got = [(x + y, x * y) for x in operands for y in operands]
+        assert not calls
+        monkeypatch.undo()
+        dropped = [RatFunc._raw(x.num, x.den) for x in operands]
+        assert got == [(x + y, x * y) for x in dropped for y in dropped]
 
     def test_construction_through_the_gcd_keeps_a_known_factorization(self):
         # x*(x + 1) is not a base factor, but the reduced denominator x + 1 is

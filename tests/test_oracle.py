@@ -271,6 +271,15 @@ def test_strip_by_base_factor():
         if _strip(p, f, cap) != (want_k, from_sympy(want)):
             mismatches.append((to_sympy(p), to_sympy(f), cap))
     assert not mismatches, f"{len(mismatches)} of {CASES} disagree, e.g. {mismatches[:3]}"
+    # a dividend free of the pivot x_v has no divisor of degree 1 in x_v
+    x0, x1, x2 = (Polynomial.variable(NV, i) for i in range(NV))
+    free = [
+        (Polynomial(NV, terms), f) for f in (x0 - x1, x1 * x2 - x0 + Polynomial.const(NV, 1))
+        for terms in ({(0, 1, 1): 2, (0, 0, 0): 1}, {(0, 2, 0): 1, (0, 0, 2): 1}, {(0, 0, 0): 3})
+    ]
+    for p, f in free:
+        assert sympy.div(to_sympy(p), to_sympy(f), *SYMS, domain=sympy.QQ)[1] != 0
+        assert _strip(p, f) == (0, p)
 
 
 def test_pseudo_remainder():

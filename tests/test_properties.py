@@ -19,7 +19,7 @@ from itertools import permutations
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import Phase, assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import Phase, assume, example, given, settings, strategies as st  # noqa: E402
 
 from skewmon.actions import (  # noqa: E402
     GeneralAut,
@@ -32,7 +32,6 @@ from skewmon.analysis import _SpanReducer  # noqa: E402
 from skewmon.arith import (  # noqa: E402
     Polynomial,
     RatFunc,
-    _factor_poly,
     _pivot,
     _strip,
     poly_gcd,
@@ -321,19 +320,24 @@ def factored_pairs(draw):
 
 
 def assert_factored(r):
-    """r's factorization is over distinct base factors and multiplies out to r.den."""
+    """r's factorization is over base factors and multiplies out to r.den;
+    each key is the (numerators, denom) pair of its factor and carries the
+    pivot, pivot numerator and tail of a fresh recomputation."""
     assert_canonical(r)
-    factors = [(_factor_poly(key, NV), e) for key, e in r.fac]
-    for f, e in factors:
-        assert e > 0 and f.leading_term()[1] == 1 and _pivot(f) is not None
-    assert len({key for key, _ in r.fac}) == len(r.fac)
-    assert _product(factors) == r.den
+    for key, e in r.fac.items():
+        f, v = key.poly, _pivot(key.poly)
+        assert e > 0 and f.leading_term()[1] == 1 and v is not None
+        pair = (frozenset(f.ints.items()), f.denom)
+        assert key == pair and hash(key) == hash(pair)
+        assert key.v == v and key.c == f.ints[tuple(int(i == v) for i in range(NV))]
+        assert key.r == tuple((x, -a) for x, a in f.ints.items() if not x[v])
+    assert _product([(key.poly, e) for key, e in r.fac.items()]) == r.den
 
 
 def _dropped(r):
     """r with its factorization dropped, so arithmetic on it runs through
     poly_gcd; a constant denominator keeps its empty one, as RatFunc._raw requires."""
-    return RatFunc._raw(r.num, r.den, () if r.den.is_constant() else None)
+    return RatFunc._raw(r.num, r.den, {} if r.den.is_constant() else None)
 
 
 @fast
@@ -367,7 +371,7 @@ def test_factored_arithmetic_agrees_with_the_gcd_path(pairs, k, offsets, perm, s
         if got.fac is not None:
             assert_factored(got)
     for x in [x for pair in kept + maybe for x in pair]:
-        assert x.fac == () or not x.den.is_constant()
+        assert x.fac == {} or not x.den.is_constant()
 
 
 @pytest.mark.parametrize("shared", [False, True], ids=["unshared-monomial", "shared-monomial"])
@@ -388,6 +392,22 @@ def test_q_scaling_keeps_a_factorization_that_splits_off_a_monomial(shared):
         assert got == ctx.act_key(key, _dropped(r))
 
 
+def test_ring_automorphisms_keep_factorizations_that_move_or_make_a_monomial():
+    # a permutation moves the factor x to the monomial y or z; a shift moves
+    # x - y + 1 to another base factor, and x + 1 to the monomial x
+    x, y = PERM_TABLE.var("x"), PERM_TABLE.var("y")
+    r = y * x.invert() * (x - y + PERM_TABLE.poly("1")).invert()
+    s = (x + PERM_TABLE.poly("1")).invert()
+    auts = [PermutationAut(PERM_TABLE, (1, 2, 0)), PermutationAut(PERM_TABLE, (2, 1, 0)),
+            ShiftAut(PERM_TABLE, (1, 0, 0)), ShiftAut(PERM_TABLE, (-1, 2, 1))]
+    for aut in auts:
+        for t in (r, s, r * s):
+            got = aut.apply(t)
+            assert got.fac is not None
+            assert_factored(got)
+            assert got == aut.apply(_dropped(t))
+
+
 def assert_lowest_terms(*values):
     """Every numerator stored is a nonzero int over an int denominator >= 1
     prime to them all, and zero has denominator 1: no Fraction is stored."""
@@ -401,17 +421,25 @@ def assert_lowest_terms(*values):
 shift_offsets = st.one_of(st.integers(-2, 2), coeffs)
 
 
+X0_SQUARED_X2 = Polynomial(NV, {(2, 0, 1): 2})
+
+
 @fast
 @given(polys, polys, nonzero_polys, nonzero_coeffs, st.integers(0, NV - 1),
        st.integers(0, NV), st.lists(st.tuples(st.integers(0, NV - 1), shift_offsets), max_size=2),
        base_factors, st.integers(0, 2))
+# d = -p makes pf zero, which _strip does not take
+@example(X0_SQUARED_X2, Polynomial.zero(NV), -X0_SQUARED_X2, Fraction(1), 0, 0, [],
+         Polynomial.variable(NV, 0), 1)
 def test_every_operation_keeps_polynomials_in_lowest_terms(p, q, d, c, var, k, shifts, f, e):
     pd, pf = p * d, (p + d) * f**e
     exact = pd.divide_exact(d)
     assert exact == p
     maybe = p.divide_exact(d)
-    stripped, quotient = _strip(pf, f) if pf else (0, pf)
-    assert stripped >= e and quotient * f**stripped == pf
+    quotient = pf
+    if pf:
+        stripped, quotient = _strip(pf, f)
+        assert stripped >= e and quotient * f**stripped == pf
     assert_lowest_terms(
         p + q, p - q, p * q, -p, pd, p.scale(c), q.scale(c), d.monic(), exact,
         *filter(None, [maybe]), p.shift_vars(shifts), *p.coeffs_in(var).values(),

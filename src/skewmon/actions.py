@@ -482,6 +482,10 @@ class Context:
         return _perm_inverse(a)
 
     def key_valid(self, a):
+        """True iff a, a tuple of Python ints, names an element of the monoid
+        (lattice mode) or of the key group."""
+        if any(type(x) is not int for x in a):
+            return False
         if self.mode == LATTICE:
             return len(a) == self.rank and (not self.nonneg or all(x >= 0 for x in a))
         return tuple(a) in self.key_group._pos
@@ -598,7 +602,7 @@ class MonoidElement:
     __slots__ = ("context", "vector")
 
     def __init__(self, context, vector):
-        vector = tuple(int(x) for x in vector)
+        vector = tuple(vector)
         if not context.key_valid(vector):
             raise PreconditionError(f"{vector} is not a valid monoid element")
         self.context = context

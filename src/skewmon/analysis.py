@@ -192,78 +192,58 @@ def theta_relation_set(n):
 # ---------------------------------------------------------------------------
 
 
-def _same_length(vectors, what):
-    """Raise PreconditionError at the first vector not as long as the first."""
-    for i, v in enumerate(vectors[1:], start=2):
-        if len(v) != len(vectors[0]):
+def _int_vectors(vectors, what):
+    """The vectors as tuples; PreconditionError at the first vector with an
+    entry that is not a Python ``int`` or of another length than the first."""
+    out = [tuple(v) for v in vectors]
+    for i, v in enumerate(out, start=1):
+        for x in v:
+            if type(x) is not int:
+                raise PreconditionError(f"{what} {i} has the entry {x!r}, not an integer")
+        if len(v) != len(out[0]):
             raise PreconditionError(
-                f"{what} {i} has length {len(v)}, {what} 1 has length {len(vectors[0])}"
+                f"{what} {i} has length {len(v)}, {what} 1 has length {len(out[0])}"
             )
+    return out
 
 
 def smith_normal_form(rows):
     """Exact Smith normal form data of an integer matrix.
 
     Returns (rank, divisors): the positive elementary divisors in their
-    divisibility chain d_1 | d_2 | ... | d_rank.
+    divisibility chain d_1 | d_2 | ... | d_rank.  Each round clears the row
+    and column of an entry p of least absolute value.  A nonzero remainder
+    is a smaller least entry for the next round.  A row with an entry that p
+    does not divide is added to p's row, which leaves a remainder in the
+    next round.  Otherwise |p| divides every other entry: it is the next
+    divisor, and p's row and column go.
     """
-    a = [list(int(x) for x in r) for r in rows]
-    _same_length(a, "row")
-    m = len(a)
-    n = len(a[0]) if m else 0
+    a = [list(v) for v in _int_vectors(rows, "row")]
     divisors = []
-    t = 0
-    while t < min(m, n):
-        # find a nonzero pivot of least absolute value in the trailing block
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        a[t], a[bi] = a[bi], a[t]
-        for row in a:
-            row[t], row[bj] = row[bj], row[t]
-        while True:
-            # clear the pivot column
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        dirty = True
-            # clear the pivot row
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    for row in a:
-                        row[j] -= q * row[t]
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        dirty = True
-            if not dirty:
-                break
-        # enforce divisibility of the trailing block by the pivot
-        p = a[t][t]
-        fixed = True
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % p:
-                    a[t] = [x + y for x, y in zip(a[t], a[i])]
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if not fixed:
+    while True:
+        entries = [(abs(x), i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x]
+        if not entries:
+            return len(divisors), divisors
+        _, i, j = min(entries)
+        pivot, p = a[i], a[i][j]
+        others = a[:i] + a[i + 1 :]
+        for row in others:
+            q = row[j] // p
+            row[:] = [x - q * y for x, y in zip(row, pivot)]
+        for c, x in enumerate(pivot):
+            if c != j and x:
+                q = x // p
+                for row in a:
+                    row[c] -= q * row[j]
+        if any(row[j] for row in others) or any(pivot[:j] + pivot[j + 1 :]):
             continue
-        divisors.append(abs(p))
-        t += 1
-    return len(divisors), divisors
+        for row in others:
+            if any(x % p for x in row):
+                pivot[:] = [x + y for x, y in zip(pivot, row)]
+                break
+        else:
+            divisors.append(abs(p))
+            a = [row[:j] + row[j + 1 :] for row in others]
 
 
 def lattice_contains(rows, target):
@@ -274,10 +254,8 @@ def lattice_contains(rows, target):
     divisors (equal rank gives a finite index, which the divisor products
     measure).
     """
-    base = [list(r) for r in rows]
-    rank0, div0 = smith_normal_form(base)
-    rank1, div1 = smith_normal_form(base + [list(target)])
-    return rank0 == rank1 and div0 == div1
+    rows = list(rows)
+    return smith_normal_form(rows) == smith_normal_form(rows + [target])
 
 
 def support_lattice_rank(elements):
@@ -287,10 +265,7 @@ def support_lattice_rank(elements):
     ctx = elements[0].context
     if ctx.mode != LATTICE:
         raise UnsupportedModeError("support lattice rank needs a lattice-mode context")
-    vectors = sorted({key for u in elements for key in u.coeffs})
-    if not vectors:
-        return 0, []
-    return smith_normal_form(vectors)
+    return smith_normal_form(sorted({key for u in elements for key in u.coeffs}))
 
 
 # ---------------------------------------------------------------------------
@@ -690,12 +665,9 @@ def monoid_growth(generators, k_max, dim_cap=DEFAULT_DIM_CAP):
     """
     if not generators:
         raise PreconditionError("need at least one generator")
-    vectors = []
-    for g in generators:
-        if hasattr(g, "context") and g.context.mode != LATTICE:
-            raise UnsupportedModeError("monoid growth needs a lattice-mode monoid")
-        vectors.append(tuple(g.vector) if hasattr(g, "vector") else tuple(g))
-    _same_length(vectors, "generator")
+    if any(hasattr(g, "context") and g.context.mode != LATTICE for g in generators):
+        raise UnsupportedModeError("monoid growth needs a lattice-mode monoid")
+    vectors = _int_vectors([getattr(g, "vector", g) for g in generators], "generator")
     ball = {(0,) * len(vectors[0])}
     frontier = set(ball)
     sizes = []

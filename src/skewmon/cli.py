@@ -70,7 +70,7 @@ class _Runtime:
         # algebra is not the scenario's fault
         try:
             build = self._parse(block)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ScenarioError(f"bad {block['kind']!r} algebra block: {exc!r}") from exc
         self.algebra = build()
 

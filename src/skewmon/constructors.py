@@ -142,10 +142,7 @@ class GWASpec:
         a = tuple(x if isinstance(x, RatFunc) else RatFunc.from_poly(x) for x in a)
         if len(sigma) != len(a):
             raise PreconditionError("need one a_i per automorphism")
-        for i, s in enumerate(sigma):
-            for t_ in sigma[i + 1 :]:
-                if not s.commutes_with(t_):
-                    raise PreconditionError("GWA automorphisms must commute")
+        self.context = Context(table, LATTICE, sigma)  # checks that the sigma_i commute
         param_ok = set(table.param_indices())
         for i, x in enumerate(a):
             if x.is_zero():
@@ -166,7 +163,7 @@ class GWASpec:
 
 def gwa_embed(spec):
     """Embed the GWA into Frac(D) * Z^r: X_i^+ -> 1*e_i, X_i^- -> a_i*e_i^{-1}."""
-    ctx = Context(spec.table, LATTICE, spec.sigma)
+    ctx = spec.context
     rank = spec.rank
     gens = {}
     for i in range(rank):

@@ -24,6 +24,7 @@ from skewmon.actions import (
     stabilizer,
 )
 from skewmon.errors import (
+    ContextMismatchError,
     NormalizationViolationError,
     NotInvertibleError,
     PreconditionError,
@@ -212,6 +213,19 @@ class TestMonoid:
         assert inverse(MonoidElement(ctx, (0, 0))).vector == (0, 0)
         with pytest.raises(PreconditionError):
             MonoidElement(ctx, (-1, 0))
+
+    @pytest.mark.parametrize("vector", [(0.5,), ("1",), (True,)], ids=["float", "string", "bool"])
+    def test_a_vector_of_non_integers_is_rejected_not_truncated(self, vector):
+        with pytest.raises(PreconditionError, match="is not a valid monoid element"):
+            MonoidElement(build_shift_algebra(1, 1), vector)
+
+    def test_keys_are_tuples_of_integers_in_both_modes(self):
+        lattice = build_shift_algebra(1, 1)
+        nilhecke = demazure_elements(2)[0].context
+        for ctx, key in [(lattice, (0.5,)), (lattice, ("1",)), (nilhecke, (1.0, 0.0))]:
+            one = RatFunc.const(ctx.table.nvars, 1)
+            with pytest.raises(ContextMismatchError, match="invalid key"):
+                SkewElement(ctx, {key: one})
 
 
 class TestGroup:

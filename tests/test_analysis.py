@@ -174,6 +174,17 @@ class TestSmithNormalForm:
         with pytest.raises(PreconditionError, match="length 3, row 1 has length 2"):
             lattice_contains([[1, 0], [0, 1]], [1, 0, 5])
 
+    @pytest.mark.parametrize("rows, entry", [
+        ([[0.5, 1]], "0.5"), ([["3"]], "'3'"), ([[1, 0], [0, True]], "True"),
+    ], ids=["float", "string", "bool"])
+    def test_non_integer_entries_are_rejected_not_truncated(self, rows, entry):
+        with pytest.raises(PreconditionError, match=f"row {len(rows)} has the entry {entry},"):
+            smith_normal_form(rows)
+
+    def test_a_non_integer_target_is_rejected_not_truncated(self):
+        with pytest.raises(PreconditionError, match="row 2 has the entry 0.5, not an integer"):
+            lattice_contains([[1, 0]], [0.5, 0])
+
     def test_membership_oracle_random(self):
         # certified classes: true members, rational-span outsiders, and
         # fractional-solution outsiders for full-rank square matrices
@@ -702,6 +713,10 @@ class TestMonoidGrowth:
         with pytest.raises(PreconditionError,
                            match="generator 2 has length 3, generator 1 has length 2"):
             monoid_growth([(1, 0), (0, 1, 5)], 3)
+
+    def test_non_integer_generators_are_rejected(self):
+        with pytest.raises(PreconditionError, match="generator 1 has the entry 0.5, not an integer"):
+            monoid_growth([(0.5, 0), (0, 1)], 3)
 
     def test_ball_above_the_dimension_cap_raises(self):
         # |B_k| = 2k^2 + 2k + 1 crosses 100 at k = 7

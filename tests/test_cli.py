@@ -222,7 +222,14 @@ class TestExitCodes:
          "TypeError(\"'int' object is not iterable\")"),
         ({"kind": "gwa", "variables": ["x"], "sigma": [{"kind": "shift", "offsets": [1]}],
           "a": ["y"]}, "ValueError(\"Invalid literal for Fraction: 'y'\")"),
-    ], ids=["missing-key", "not-an-integer", "group-not-a-list", "unknown-variable"])
+        ({"kind": "gwa", "variables": ["x"], "sigma": [{"kind": "shift", "offsets": [1]}],
+          "a": ["1/0"]}, "ZeroDivisionError('Fraction(1, 0)')"),
+        ({"kind": "gwa", "variables": ["x"], "sigma": [{"kind": "shift", "offsets": ["1/0"]}],
+          "a": ["x"]}, "ZeroDivisionError('Fraction(1, 0)')"),
+        ({"kind": "gwa", "variables": ["h"], "sigma": [{"kind": "shift", "offsets": [1]}],
+          "a": [{"num": "h", "den": "0"}]}, "ZeroDivisionError('zero denominator')"),
+    ], ids=["missing-key", "not-an-integer", "group-not-a-list", "unknown-variable",
+            "a-over-zero", "offset-over-zero", "zero-denominator"])
     def test_malformed_algebra_block_is_two_and_names_the_block(self, tmp_path, capsys,
                                                                  block, error):
         path = tmp_path / "block.json"
@@ -457,6 +464,19 @@ class TestJobValidation:
         assert str(caught.value) == prefix + message
         err = self._rejected(tmp_path, capsys, [first, second], algebra=algebra)
         assert err == f"error: invalid scenario: {prefix}{message}\n"
+
+    @pytest.mark.parametrize("algebra, key", [
+        ({"kind": "shift_algebra", "n": 1, "m": 1}, [0.5]),
+        ({"kind": "shift_algebra", "n": 1, "m": 1}, ["1"]),
+        ({"kind": "nilhecke", "n": 2}, [1.0, 0.0]),
+    ], ids=["fraction", "string", "float-permutation"])
+    def test_a_key_of_non_integers_names_the_job_and_the_key(self, tmp_path, capsys, algebra,
+                                                             key):
+        job = {"name": "si", "op": "standard_identity",
+               "elements": [{"terms": [{"key": key, "num": "x1"}]}]}
+        err = self._rejected(tmp_path, capsys, [job], algebra=algebra)
+        assert err == ("error: invalid scenario: job 1 'si' (standard_identity): "
+                       f"invalid key {tuple(key)} for this context\n")
 
     def test_cap_error_inside_a_job_names_the_job_and_keeps_its_partial_result(self):
         scenario = json.loads(load_scenario_text("growth-weyl"))

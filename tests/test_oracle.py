@@ -347,7 +347,7 @@ def test_poly_gcd_of_univariate_pairs():
 
 
 def test_smith_normal_form():
-    rng = random.Random(53)
+    rng, wide_rng = random.Random(53), random.Random(54)
     mismatches = []
     for _ in range(CASES):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
@@ -356,11 +356,21 @@ def test_smith_normal_form():
             # a dependent row exercises rank deficiency
             a, b = rng.randint(-2, 2), rng.randint(-2, 2)
             rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
-        diag = sympy_smith(sympy.Matrix(rows), domain=sympy.ZZ)
-        want = sorted(abs(int(diag[i, i])) for i in range(min(m, n)) if diag[i, i])
-        if smith_normal_form(rows) != (len(want), want):
-            mismatches.append(rows)
-    assert not mismatches, f"{len(mismatches)} of {CASES} disagree, e.g. {mismatches[:3]}"
+        # a wider draw: larger entries, no rows at all, a zero row or column
+        wm, wn = wide_rng.randint(0, 5), wide_rng.randint(1, 5)
+        wide = [[wide_rng.randint(-12, 12) for _ in range(wn)] for _ in range(wm)]
+        if wm and wide_rng.random() < 0.3:
+            wide[wide_rng.randrange(wm)] = [0] * wn
+        if wide_rng.random() < 0.3:
+            column = wide_rng.randrange(wn)
+            for row in wide:
+                row[column] = 0
+        for rows, m, n in ((rows, m, n), (wide, wm, wn)):
+            diag = sympy_smith(sympy.Matrix(m, n, sum(rows, [])), domain=sympy.ZZ)
+            want = sorted(abs(int(diag[i, i])) for i in range(min(m, n)) if diag[i, i])
+            if smith_normal_form(rows) != (len(want), want):
+                mismatches.append(rows)
+    assert not mismatches, f"{len(mismatches)} of {2 * CASES} disagree, e.g. {mismatches[:3]}"
 
 
 def _off_hyperplane(rng, make, pivot, image):

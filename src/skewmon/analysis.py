@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import permutations
+from itertools import combinations
 
 from .arith import QQ, Polynomial, RatFunc, _accumulate, poly_lcm
 from .actions import LATTICE
@@ -520,7 +520,9 @@ def ore_witness(s, u):
 
 
 def standard_identity(n, elements):
-    """s_n(a_1..a_n) = sum over permutations of sgn(sigma) a_{sigma(1)}...a_{sigma(n)}."""
+    """s_n(a_1..a_n) = sum over permutations of sgn(sigma) a_{sigma(1)}...a_{sigma(n)},
+    expanded by the first factor: s(S) = sum over i in S of (-1)^#{j in S : j < i}
+    a_i s(S - {i}), one subset of indices at a time (n 2^(n-1) - n products)."""
     if len(elements) != n:
         raise PreconditionError(f"expected {n} elements, got {len(elements)}")
     if n > DEFAULT_SI_CAP:
@@ -531,25 +533,16 @@ def standard_identity(n, elements):
     for u in elements:
         if u.context is not ctx:
             raise ContextMismatchError("elements from different contexts")
-    total = SkewElement.zero(ctx)
-    # each prefix starts from its first element, so no product by one is made
-    prefix_cache = {(i,): u for i, u in enumerate(elements)}
-    for perm in permutations(range(n)):
-        for cut in range(n, 0, -1):
-            prod_elem = prefix_cache.get(perm[:cut])
-            if prod_elem is not None:
-                break
-        for i in range(cut, n):
-            prod_elem = prod_elem * elements[perm[i]]
-            prefix_cache[perm[: i + 1]] = prod_elem
-        total = total + (prod_elem if _parity(perm) == 0 else -prod_elem)
-    return total
-
-
-def _parity(perm):
-    """0 or 1: the parity of perm's inversion count, a count of O(n^2) pairs
-    with n <= DEFAULT_SI_CAP."""
-    return sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :]) & 1
+    level = {(i,): u for i, u in enumerate(elements)}  # keyed by index sets, not elements
+    for k in range(2, n + 1):
+        below, level = level, {}
+        for subset in combinations(range(n), k):
+            total = SkewElement.zero(ctx)
+            for j, i in enumerate(subset):
+                prod_elem = elements[i] * below[subset[:j] + subset[j + 1 :]]
+                total = total + (-prod_elem if j & 1 else prod_elem)
+            level[subset] = total
+    return level[tuple(range(n))]
 
 
 # ---------------------------------------------------------------------------

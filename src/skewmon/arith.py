@@ -66,7 +66,8 @@ exact divisions keep coefficient growth polynomial.  A gcd is defined up to a
 unit, so ``poly_gcd`` drops the operands' denominators and the recursion runs
 on integer numerators; one pseudo-remainder also serves the univariate base,
 Euclid with each remainder cut to its primitive part.  No modular or
-heuristic shortcuts are used.
+heuristic shortcuts are used.  A cancellation first tries the denominator as
+the divisor: when it divides, it is the gcd up to a unit, and none is computed.
 """
 
 import math
@@ -669,7 +670,13 @@ def _pseudo_rem(a, b):
 
 
 def _cancel(p, q):
-    """``(g, p/g, q/g)`` for g = poly_gcd(p, q); p and q themselves when g is constant."""
+    """``(g, p/g, q/g)`` for g = poly_gcd(p, q); p and q themselves when g is
+    constant.  A q that is not a monomial is tried as the divisor g first."""
+    if len(q.ints) > 1:
+        g = q.monic()
+        quotient = p.divide_exact(g)
+        if quotient is not None:
+            return g, quotient, q.divide_exact(g)
     g = poly_gcd(p, q)
     if g.is_constant():
         return g, p, q
@@ -1013,6 +1020,8 @@ class RatFunc:
         if self.den.is_constant():  # the canonical 1, which every automorphism fixes
             return RatFunc._raw(num, self.den, self.fac)
         num, den = _monic_den(num, image(self.den))
+        if self.fac is not None and list(self.fac.values()) == [1]:  # den is the one factor
+            return RatFunc._raw(num, den, _single_factor(den))
         return RatFunc._raw(num, den, _map_factors(self, image))
 
     def image(self, aut):

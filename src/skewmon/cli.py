@@ -80,17 +80,17 @@ class _Runtime:
         cap = self.cap_group
         if kind in ("shift_algebra", "qshift_algebra"):
             build = build_shift_algebra if kind == "shift_algebra" else build_qshift_algebra
-            n, m = int(block["n"]), int(block["m"])
+            n, m = _int(block["n"], "n"), _int(block["m"], "m")
             group = [_one_line(p) for p in block.get("group", [])] or None
             return lambda: AlgebraSpec(build(n, m, group_generators=group, group_cap=cap), {}, [])
         if kind == "gwa":
             self.gwa_spec = spec = self._gwa_spec(block)
             return lambda: gwa_embed(spec)
         if kind == "gt":
-            n = int(block["n"])
+            n = _int(block["n"], "n")
             return lambda: gt_embedding(n, group_cap=cap)
         if kind == "nilhecke":
-            n = int(block["n"])
+            n = _int(block["n"], "n")
             return lambda: _nilhecke(n, cap)
         raise ScenarioError(f"unknown algebra kind {kind!r}")
 
@@ -114,7 +114,7 @@ class _Runtime:
                 coeffs.append(QQ(str(m.get("coeff", "1"))))
                 e = [0] * nv
                 for name, p in m.get("powers", {}).items():
-                    e[table.index(name)] = int(p)
+                    e[table.index(name)] = _int(p, "powers")
                 exps.append(tuple(e))
             while len(coeffs) < nv:
                 coeffs.append(QQ(1))
@@ -131,7 +131,14 @@ def _nilhecke(n, cap):
 
 def _one_line(perm):
     # scenario files use 1-indexed one-line notation
-    return tuple(int(x) - 1 for x in perm)
+    return tuple(_int(x, "group") - 1 for x in perm)
+
+
+def _int(value, field):
+    """An integer of the algebra block, which is never truncated."""
+    if type(value) is not int:
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------

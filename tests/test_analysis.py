@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -17,6 +18,7 @@ from skewmon.errors import (
 )
 from skewmon.constructors import (
     AlgebraSpec,
+    build_qshift_algebra,
     build_shift_algebra,
     demazure_elements,
     gt_embedding,
@@ -42,7 +44,7 @@ from skewmon.analysis import (
     theta_relation_set,
     verify_relations,
 )
-from skewmon.randomized import ore_witness_trials, random_ratfunc
+from skewmon.randomized import ore_witness_trials, random_polynomial, random_ratfunc
 
 
 class TestVerifyRelations:
@@ -500,20 +502,53 @@ class TestStandardIdentity:
         rhs = base + standard_identity(3, [d, b, c])
         assert lhs == rhs
 
-    def test_s3_makes_one_product_per_distinct_prefix_after_the_first_factor(self, monkeypatch):
-        # 6 prefixes of length 2 and 6 of length 3; a prefix of length 1 is
-        # its element itself, never one * a
+    def test_s3_and_s4_make_one_product_per_index_of_each_subset(self, monkeypatch):
+        # n 2^(n-1) - n products: a_i times s(S - {i}) for each i in each
+        # subset S of two or more indices, and never one * a
         ctx = build_shift_algebra(1, 1)
         rng = random.Random(3)
         a = SkewElement.generator(ctx, (1,), random_ratfunc(rng, 1))
         b = SkewElement.scalar(ctx, random_ratfunc(rng, 1))
         c = SkewElement.generator(ctx, (-1,), random_ratfunc(rng, 1))
-        want, one = standard_identity(3, [a, b, c]), SkewElement.one(ctx)
-        products = []
-        monkeypatch.setattr(SkewElement, "__mul__", counting(products, SkewElement.__mul__))
-        assert standard_identity(3, [a, b, c]) == want
-        assert len(products) == 12
-        assert not any(x == one for x, _ in products)
+        d = SkewElement.generator(ctx, (1,), random_ratfunc(rng, 1))
+        one = SkewElement.one(ctx)
+        for elements, count in (([a, b, c], 9), ([a, b, c, d], 28)):
+            want = standard_identity(len(elements), elements)
+            products = []
+            with monkeypatch.context() as m:
+                m.setattr(SkewElement, "__mul__", counting(products, SkewElement.__mul__))
+                assert standard_identity(len(elements), elements) == want
+            assert len(products) == count
+            assert not any(one in pair for pair in products)
+
+    @pytest.mark.parametrize("build, nvars, m, rational", [
+        (build_shift_algebra, 1, 1, True), (build_shift_algebra, 2, 2, True),
+        (build_qshift_algebra, 1, 1, False),
+    ], ids=["shift-1-1", "shift-2-2", "qshift-1-1"])
+    def test_agrees_with_the_permutation_sum(self, build, nvars, m, rational):
+        # the q-shift moves a denominator in x off the factor base, and its
+        # n = 5 sums then take minutes, so its coefficients are polynomials
+        ctx = build(nvars, m)
+        rng = random.Random(nvars + m)
+        nv = ctx.table.nvars
+
+        def element():  # never a scalar
+            key = tuple(rng.choice((-1, 1)) for _ in range(m))
+            f = random_ratfunc(rng, nv) if rational else RatFunc(random_polynomial(rng, nv))
+            return (SkewElement.generator(ctx, key, f)
+                    + SkewElement.scalar(ctx, random_polynomial(rng, nv, nonzero=True)))
+
+        for n in range(1, 6):
+            elements = [element() for _ in range(n)]
+            want = SkewElement.zero(ctx)
+            for perm in permutations(range(n)):
+                prod_elem = SkewElement.one(ctx)
+                for i in perm:
+                    prod_elem = prod_elem * elements[i]
+                inversions = sum(a > b for j, a in enumerate(perm) for b in perm[j + 1 :])
+                want = want + (-prod_elem if inversions & 1 else prod_elem)
+            assert want, n  # a zero would prove little
+            assert standard_identity(n, elements) == want, n
 
     def test_cost_cap(self):
         ctx = build_shift_algebra(1, 1)

@@ -285,6 +285,36 @@ class TestRatFunc:
         r = rf(X, X * (X + ONE))
         assert r == rf(X + ONE).invert() and r.fac == rf(X + ONE).invert().fac
 
+    def test_a_denominator_that_divides_the_other_numerator_needs_no_gcd(self, monkeypatch):
+        # x^2 + y^2 + 1 is not a base factor, so the product cancels through
+        # _cancel, which divides by it before it would run a gcd
+        d = X * X + Y * Y + ONE
+        r, s = rf(X + Y, d), rf(d * (X - ONE.scale(3)))
+        assert r.fac is None
+        calls = []
+        original = arith.poly_gcd
+        monkeypatch.setattr(arith, "poly_gcd", lambda p, q: calls.append((p, q)) or original(p, q))
+        got = r * s
+        assert not [c for c in calls if not (c[0].is_constant() or c[1].is_constant())]
+        monkeypatch.undo()
+        assert got == rf((X + Y) * (X - ONE.scale(3)))
+
+    def test_a_one_factor_denominator_is_mapped_once(self):
+        # den = x - y + 2 is the one base factor of fac: the map images it
+        # once, as the denominator, and reads its factor from that image
+        r = rf(X * Y + ONE, X - Y + ONE.scale(2))
+        assert list(r.fac.values()) == [1]
+        calls = []
+
+        def image(p):  # x -> x + 1, y -> 2y
+            calls.append(p)
+            return p.substitute_var(0, X + ONE).substitute_var(1, Y.scale(2))
+
+        got = r.map(image)
+        assert len(calls) == 2
+        want = rf(image(r.num), image(r.den))
+        assert got == want and got.fac == want.fac == arith._map_factors(r, image)
+
 
 class TestSubstitute:
     def test_shift(self):

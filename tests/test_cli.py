@@ -216,8 +216,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("block, error", [
         ({"kind": "gt"}, "KeyError('n')"),
-        ({"kind": "nilhecke", "n": "three"},
-         "ValueError(\"invalid literal for int() with base 10: 'three'\")"),
+        ({"kind": "nilhecke", "n": "three"}, "ValueError(\"n must be an integer, got 'three'\")"),
         ({"kind": "shift_algebra", "n": 1, "m": 1, "group": 5},
          "TypeError(\"'int' object is not iterable\")"),
         ({"kind": "gwa", "variables": ["x"], "sigma": [{"kind": "shift", "offsets": [1]}],
@@ -237,6 +236,26 @@ class TestExitCodes:
         assert main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: invalid scenario: bad {block['kind']!r} algebra block: {error}\n"
+
+    @pytest.mark.parametrize("block, error", [
+        ({"kind": "shift_algebra", "n": 2.9, "m": 1}, "n must be an integer, got 2.9"),
+        ({"kind": "qshift_algebra", "n": 2, "m": 1.2}, "m must be an integer, got 1.2"),
+        ({"kind": "shift_algebra", "n": 2, "m": 1, "group": [[2.7, 1]]},
+         "group must be an integer, got 2.7"),
+        ({"kind": "shift_algebra", "n": 2, "m": True}, "m must be an integer, got True"),
+        ({"kind": "nilhecke", "n": 3.5}, "n must be an integer, got 3.5"),
+        ({"kind": "gt", "n": 3.0}, "n must be an integer, got 3.0"),
+        ({"kind": "gwa", "variables": ["x"], "params": ["s"],
+          "sigma": [{"kind": "scaling", "multipliers": [{"powers": {"s": 1.5}}]}], "a": ["x"]},
+         "powers must be an integer, got 1.5"),
+    ], ids=["n-float", "m-float", "group-float", "m-bool", "nilhecke-n", "gt-n", "powers-float"])
+    def test_algebra_block_integers_are_not_truncated(self, tmp_path, capsys, block, error):
+        path = tmp_path / "block.json"
+        path.write_text(json.dumps({"algebra": block, "jobs": []}))
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: invalid scenario: bad {block['kind']!r} algebra block: "
+                       f"{ValueError(error)!r}\n")
 
     @pytest.mark.parametrize("exc", [TypeError, KeyError, ValueError])
     def test_a_fault_inside_a_job_is_not_an_invalid_scenario(self, monkeypatch, tmp_path,

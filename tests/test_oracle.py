@@ -26,6 +26,7 @@ from skewmon.arith import (  # noqa: E402
     QQ,
     Polynomial,
     RatFunc,
+    _cancel,
     _pseudo_rem,
     _strip,
     pole_order,
@@ -235,6 +236,42 @@ def test_poly_gcd():
             mismatches.append((to_sympy(p), to_sympy(q)))
     assert not mismatches, f"{len(mismatches)} of {CASES} disagree, e.g. {mismatches[:3]}"
 
+
+def _cancel_pair(rng, shape):
+    """A pair (p, q) of one of four shapes: 0 a planted q | p with q neither a
+    monomial nor monic nor integral, 1 a proper divisor p of q, 2 a coprime
+    pair, 3 a shared proper factor with q not dividing p."""
+    while True:
+        a, b, h = rand_poly(rng), rand_poly(rng), rand_poly(rng)
+        if shape == 0:
+            q = rand_fractional_poly(rng)
+            if len(q.ints) > 1 and q.denom != 1 and q != q.monic():
+                return a * q, q
+        elif shape == 1:
+            if not (a.is_constant() or b.is_constant()):
+                return a, a * b
+        elif shape == 2:
+            if from_sympy(sympy.gcd(to_sympy(a), to_sympy(b))).is_constant():
+                return a, b
+        elif not h.is_constant():
+            p, q = a * h, b * h
+            if sympy.div(to_sympy(p), to_sympy(q), *SYMS, domain=sympy.QQ)[1] != 0:
+                return p, q
+
+
+def test_cancel():
+    # (g, p/g, q/g) for the monic gcd g; _cancel tries q as the divisor
+    # first, so shape 0 takes the division and the others the gcd after a miss
+    rng = random.Random(83)
+    mismatches = []
+    for i in range(CASES):
+        p, q = _cancel_pair(rng, i % 4)
+        g = from_sympy(sympy.gcd(to_sympy(p), to_sympy(q))).monic()
+        want = tuple(from_sympy(sympy.div(to_sympy(x), to_sympy(g), *SYMS, domain=sympy.QQ)[0])
+                     for x in (p, q))
+        if _cancel(p, q) != (g, *want):
+            mismatches.append((i % 4, to_sympy(p), to_sympy(q)))
+    assert not mismatches, f"{len(mismatches)} of {CASES} disagree, e.g. {mismatches[:3]}"
 
 def test_divide_exact():
     rng = random.Random(61)

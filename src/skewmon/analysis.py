@@ -342,8 +342,10 @@ def _element_vectors(coeff_maps, table, common=None):
     denominator is the lcm over all the given maps and over ``common``, the
     per-key denominators of earlier calls, which is updated in place; so the
     map to coordinates is linear on every set coordinatized against the same
-    ``common``.  Returns the vectors and whether a key already in ``common``
-    got a larger denominator, which makes vectors from earlier calls stale.
+    ``common``.  A coefficient whose denominator is its key's common one is
+    cleared to its numerator with no division.  Returns the vectors and
+    whether a key already in ``common`` got a larger denominator, which makes
+    vectors from earlier calls stale.
     """
     one = Polynomial.const(table.nvars, 1)
     np_count = table.n_acted + table.n_fixed
@@ -363,7 +365,8 @@ def _element_vectors(coeff_maps, table, common=None):
     for coeffs in coeff_maps:
         vec = {}
         for key, c in coeffs.items():
-            cleared = c.num * common[key].divide_exact(c.den)
+            den = common[key]
+            cleared = c.num if c.den == den else c.num * den.divide_exact(c.den)
             if params:
                 for head, tail in cleared.split_head(np_count).items():
                     vec[(key, head)] = RatFunc.from_poly(tail)
@@ -601,7 +604,8 @@ def growth_profile(frame, k_max, dim_cap=DEFAULT_DIM_CAP):
     The layers are semi-naive: one reducer holds the basis of span(F^k) for
     the whole run, and since 1 is in F, span(F^(k+1)) = span(F^k) +
     span(new * F), where new are the basis elements that entered at layer k.
-    So only those are multiplied by the frame.  When a later product raises
+    So only those are multiplied, and only by the frame elements other than
+    1: new * 1 = new is in the span already.  When a later product raises
     the common denominator of a key, the stored basis elements are
     re-coordinatized against the new denominators into a fresh reducer
     before the product's layer is added.
@@ -614,10 +618,11 @@ def growth_profile(frame, k_max, dim_cap=DEFAULT_DIM_CAP):
         raise PreconditionError("k_max must be at least 2")
     if not frame:
         raise PreconditionError("empty frame")
-    ctx = frame[0].context
-    if not any(u == SkewElement.one(ctx) for u in frame):
+    one = SkewElement.one(frame[0].context)
+    if one not in frame:
         raise PreconditionError("frame must contain the identity element")
-    table = ctx.table
+    others = [v for v in frame if v != one]
+    table = one.context.table
     common = {}  # key -> common denominator of every element coordinatized so far
     reducer = _SpanReducer()
     basis = []
@@ -642,7 +647,7 @@ def growth_profile(frame, k_max, dim_cap=DEFAULT_DIM_CAP):
     while dims[-1] <= dim_cap:
         if len(dims) == k_max:
             return profile(dims)
-        new = add_layer([b * v for b in new for v in frame])
+        new = add_layer([b * v for b in new for v in others])
         dims.append(len(basis))
     raise ResourceCapError(
         f"span dimension {dims[-1]} exceeded the cap {dim_cap}",

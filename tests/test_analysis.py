@@ -6,7 +6,7 @@ from itertools import permutations
 import pytest
 
 from skewmon import analysis
-from skewmon.arith import RatFunc, poly_to_text
+from skewmon.arith import Polynomial, RatFunc, poly_to_text
 from skewmon.actions import LATTICE, Context, MonoidElement, ScalingAut, VariableTable
 from skewmon.errors import (
     DefinitionError,
@@ -567,6 +567,34 @@ def counting(calls, fn):
     return wrapper
 
 
+def _weyl_frame():
+    # the Weyl frame {1, x1, e1} of the bench growth workload
+    ctx = build_shift_algebra(2, 2)
+    return [SkewElement.one(ctx), SkewElement.scalar(ctx, ctx.table.var("x1")),
+            SkewElement.generator(ctx, (1, 0))]
+
+
+def _inverse_x_frame():
+    # every product by 1/x1 or e1 raises a denominator of key (0,) or (1,),
+    # so each layer re-coordinatizes the stored basis
+    ctx = build_shift_algebra(1, 1)
+    return [SkewElement.one(ctx), SkewElement.scalar(ctx, ctx.table.var("x1").invert()),
+            SkewElement.generator(ctx, (1,))]
+
+
+def _q_frame():
+    # the bench q-frame {1, q*x1, e1 + q}: the reducer's entries are RatFuncs in q
+    ctx = build_qshift_algebra(1, 1)
+    q = ctx.table.var("q")
+    return [SkewElement.one(ctx), SkewElement.scalar(ctx, q * ctx.table.var("x1")),
+            SkewElement.generator(ctx, (1,)) + SkewElement.scalar(ctx, q)]
+
+
+def _repeated_one_frame():
+    one, inv_x, e1 = _inverse_x_frame()
+    return [one, inv_x, one, e1]
+
+
 class TestGrowth:
     def test_weyl_like_dims(self):
         ctx = build_shift_algebra(1, 1)
@@ -673,17 +701,23 @@ class TestGrowth:
         monkeypatch.setattr(SkewElement, "__mul__", counting(products, SkewElement.__mul__))
         profile = growth_profile(frame, 12)
         assert profile.dims == [(k + 1) * (k + 2) // 2 for k in range(1, 13)]
-        assert len(products) <= len(frame) * profile.dims[10]  # 234
+        # new * 1 = new is in the span already, so 1 multiplies nothing
+        assert len(products) == (len(frame) - 1) * profile.dims[10]  # 156
+
+    def test_unchanged_denominators_are_not_divided(self, monkeypatch):
+        # every coefficient's denominator is its key's common one, 1, so
+        # clearing denominators divides nothing
+        frame = _weyl_frame()
+        divisions = []
+        monkeypatch.setattr(Polynomial, "divide_exact", counting(divisions, Polynomial.divide_exact))
+        profile = growth_profile(frame, 12)
+        assert profile.dims == [(k + 1) * (k + 2) // 2 for k in range(1, 13)]
+        assert divisions == []
 
     def test_parameter_free_frame_reduces_in_q_without_ratfuncs(self, monkeypatch):
-        # the Weyl frame of the bench growth workload: shift_algebra(2, 2) has
-        # no parameters, so the reducer's entries are exact rationals
-        ctx = build_shift_algebra(2, 2)
-        frame = [
-            SkewElement.one(ctx),
-            SkewElement.scalar(ctx, ctx.table.var("x1")),
-            SkewElement.generator(ctx, (1, 0)),
-        ]
+        # shift_algebra(2, 2) has no parameters, so the reducer's entries
+        # are exact rationals
+        frame = _weyl_frame()
         ops = []
         for name in ("__add__", "__sub__", "__mul__", "__neg__", "__bool__", "invert"):
             monkeypatch.setattr(RatFunc, name, counting(ops, getattr(RatFunc, name)))
@@ -709,24 +743,23 @@ class TestGrowth:
         assert ops_per_add and set(ops_per_add) == {0}
         assert entries and {type(v) for v in entries} <= {int, Fraction}
 
-    def test_rebuilds_match_fresh_reductions(self):
-        # every product by 1/x1 or e1 raises a denominator of key (0,) or
-        # (1,), so each layer re-coordinatizes the stored basis
-        ctx = build_shift_algebra(1, 1)
-        frame = [
-            SkewElement.one(ctx),
-            SkewElement.scalar(ctx, ctx.table.var("x1").invert()),
-            SkewElement.generator(ctx, (1,)),
-        ]
-        k_max = 5
-        words, expected = [SkewElement.one(ctx)], []
-        for _ in range(k_max):
+    @pytest.mark.parametrize("make_frame, dims", [
+        (_inverse_x_frame, [3, 7, 14, 25, 41]),
+        (_q_frame, [3, 6, 10, 15]),
+        (_repeated_one_frame, [3, 7, 14, 25]),
+    ], ids=["inverse-x", "q-frame", "repeated-one"])
+    def test_rebuilds_match_fresh_reductions(self, make_frame, dims):
+        # growth_profile against the naive span of all words of length k
+        frame = make_frame()
+        table = frame[0].context.table
+        words, expected = [SkewElement.one(frame[0].context)], []
+        for _ in dims:
             words = [w * v for w in words for v in frame]
             reducer = analysis._SpanReducer()
-            for vec in analysis._element_vectors([w.coeffs for w in words], ctx.table)[0]:
+            for vec in analysis._element_vectors([w.coeffs for w in words], table)[0]:
                 reducer.add(vec)
             expected.append(reducer.dimension)
-        assert growth_profile(frame, k_max).dims == expected == [3, 7, 14, 25, 41]
+        assert growth_profile(frame, len(dims)).dims == expected == dims
 
 
 class TestMonoidGrowth:

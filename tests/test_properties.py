@@ -108,11 +108,15 @@ unreduced_pairs = st.builds(
 )
 
 
-def assert_canonical(r):
+def assert_monic(r):
     if r.den.is_constant():
         assert r.den == ONE
     else:
         assert r.den.leading_term()[1] == 1
+
+
+def assert_canonical(r):
+    assert_monic(r)
     assert poly_gcd(r.num, r.den) == ONE
 
 
@@ -322,11 +326,14 @@ def factored_pairs(draw):
 def assert_factored(r):
     """r's factorization is over base factors and multiplies out to r.den;
     each key is the (numerators, denom) pair of its factor and carries the
-    pivot, pivot numerator and tail of a fresh recomputation."""
-    assert_canonical(r)
+    pivot, pivot numerator and tail of a fresh recomputation.  Base factors
+    are irreducible, so r.num and r.den are coprime when r.num is divisible
+    by none of them: the same check as assert_canonical's, with no poly_gcd."""
+    assert_monic(r)
     for key, e in r.fac.items():
         f, v = key.poly, _pivot(key.poly)
         assert e > 0 and f.leading_term()[1] == 1 and v is not None
+        assert r.num.divide_exact(f) is None
         pair = (frozenset(f.ints.items()), f.denom)
         assert key == pair and hash(key) == hash(pair)
         assert key.v == v and key.c == f.ints[tuple(int(i == v) for i in range(NV))]

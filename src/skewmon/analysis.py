@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from .arith import QQ, Polynomial, RatFunc, _accumulate, poly_lcm
 from .actions import LATTICE
@@ -286,9 +286,8 @@ class _SpanReducer:
     ``add`` keeps the rows in echelon form: it reduces the new vector against
     the stored rows and never the stored rows against it.  That decides
     independence, hence the rank and every accept/reject decision, exactly as
-    a fully reduced basis would.  A caller that reads the rows themselves,
-    such as ``center_candidates`` reading a kernel, first runs
-    ``back_substitute``, which brings them to reduced echelon form.
+    a fully reduced basis would.  ``center_candidates`` reads its kernel off
+    the remainders that ``_reduce`` leaves, never off the rows.
     """
 
     def __init__(self):
@@ -316,21 +315,6 @@ class _SpanReducer:
         inv = c.invert() if isinstance(c, RatFunc) else QQ(1, c)
         self.pivot_rows[pivot] = {k: v * inv for k, v in vec.items()}
         return True
-
-    def back_substitute(self):
-        """Clear every pivot coordinate from every tail (reduced echelon
-        form).  The rows are reduced from the largest pivot down, so each
-        tail meets only rows that are reduced already."""
-        rows = self.pivot_rows
-        for pivot in sorted(rows, reverse=True):
-            rows[pivot] = self._reduce(rows[pivot])
-
-    def contains(self, vec):
-        return not self._reduce(vec)
-
-    @property
-    def dimension(self):
-        return len(self.pivot_rows)
 
 
 def _element_vectors(coeff_maps, table, common=None):
@@ -383,20 +367,19 @@ def _element_vectors(coeff_maps, table, common=None):
 
 
 def _monomials_up_to(table, degree):
-    np_count = table.n_acted + table.n_fixed
-    nvars = table.nvars
-
-    def rec(pos, remaining):
-        if pos == np_count:
-            yield (0,) * nvars
-            return
-        for rest in rec(pos + 1, remaining):
-            for d in range(remaining - sum(rest[:np_count]) + 1):
-                e = list(rest)
-                e[pos] = d
-                yield tuple(e)
-
-    return sorted(rec(0, degree), key=lambda e: (sum(e), e))
+    """Exponents of the monomials of degree at most ``degree`` in the
+    non-parameter variables, in grlex order.  A multiset of ``degree``
+    picks from those variables and one slack index names one monomial; the
+    slack index counts the degree the monomial leaves unused."""
+    slack = table.nvars
+    indices = [*range(table.n_acted + table.n_fixed), slack]
+    monos = []
+    for picks in combinations_with_replacement(indices, degree):
+        e = [0] * (slack + 1)
+        for i in picks:
+            e[i] += 1
+        monos.append(tuple(e[:slack]))
+    return sorted(monos, key=lambda e: (sum(e), e))
 
 
 def center_candidates(spec, degree_bound):
@@ -410,7 +393,7 @@ def center_candidates(spec, degree_bound):
         raise PreconditionError("degree bound must be nonnegative")
     ctx = spec.context
     table = ctx.table
-    monos = _monomials_up_to(table, degree_bound)
+    np_count = table.n_acted + table.n_fixed
     # the substitutions a central polynomial must be fixed by
     if ctx.mode == LATTICE:
         keys = [tuple(1 if j == i else 0 for j in range(ctx.rank)) for i in range(ctx.rank)]
@@ -419,41 +402,35 @@ def center_candidates(spec, degree_bound):
     fixers = [partial(ctx.act_key, key) for key in keys]
     fixers += [g.apply for g in ctx.group.generator_elements()]
 
-    # column e holds fix(x^e) - x^e for every fixer; its rows are the
-    # coordinates (fixer index, non-parameter exponents) of those differences
-    columns = []
-    for e in monos:
+    # column e holds fix(x^e) - x^e at each fixer's index, and x^e itself at
+    # the tag, whose coordinates sort after every constraint coordinate
+    tag = len(fixers)
+    columns, monomial_of = [], {}
+    for e in _monomials_up_to(table, degree_bound):
         x_e = RatFunc.from_poly(Polynomial.monomial(table.nvars, e))
-        columns.append({ai: fix(x_e) - x_e for ai, fix in enumerate(fixers)})
-    rows = {}  # (fixer index, constraint coordinate) -> {column: field entry}
-    for col, vec in enumerate(_element_vectors(columns, table)[0]):
-        for coord, entry in vec.items():
-            rows.setdefault(coord, {})[col] = entry
+        column = {ai: fix(x_e) - x_e for ai, fix in enumerate(fixers)}
+        column[tag] = monomial_of[e[:np_count]] = x_e
+        columns.append(column)
 
+    # In grlex column order, a column independent on the constraints keeps a
+    # constraint pivot and is stored, so stored rows tag only earlier
+    # independent columns.  A dependent column reduces to its tag part
+    # alone: the kernel vector with 1 at x^e, its grlex-leading monomial,
+    # and 0 at every other dependent one.  It is never stored, since later
+    # columns reduced against a tag pivot would give another kernel basis.
     reducer = _SpanReducer()
-    for coord in sorted(rows):
-        reducer.add(rows[coord])
-    reducer.back_substitute()
-    pivot_rows = reducer.pivot_rows
-
     basis = []
-    for col, e in enumerate(monos):
-        if col in pivot_rows:
+    for vec in _element_vectors(columns, table)[0]:
+        rest = reducer._reduce(vec)
+        if min(rest)[0] != tag:
+            reducer.add(rest)
             continue
-        coeffs = {col: 1}
-        for pcol, prow in pivot_rows.items():
-            if col in prow:
-                coeffs[pcol] = -prow[col]
         p = RatFunc.zero(table.nvars)
-        for c, v in coeffs.items():
+        for (_, head), v in rest.items():
             if not isinstance(v, RatFunc):
                 v = RatFunc.const(table.nvars, v)
-            p = p + v * RatFunc.from_poly(Polynomial.monomial(table.nvars, monos[c]))
-        # canonical representative: the grlex-leading non-parameter monomial
-        # gets coefficient exactly 1
-        groups = p.num.split_head(table.n_acted + table.n_fixed)
-        lead = max(groups, key=lambda h: (sum(h), h))
-        basis.append(RatFunc(p.num, groups[lead]))
+            p = p + v * monomial_of[head]
+        basis.append(p)
     return basis
 
 
@@ -559,7 +536,6 @@ class GrowthProfile:
 
     dims: list
     slope: Fraction
-    window: tuple
 
     def __post_init__(self):
         for i in range(1, len(self.dims)):
@@ -571,18 +547,19 @@ class GrowthProfile:
                     raise PreconditionError("growth dimensions must be submultiplicative")
 
 
-def fit_loglog_slope(values, window=None):
-    """Least-squares slope of log(value) against log(k) on the tail window.
+def fit_loglog_slope(values):
+    """Least-squares slope of log(value) against log(k) on the tail window
+    k = max(1, k_max // 2) .. k_max.
 
-    Values are indexed k = 1..len(values).  Returns a rational approximation;
-    callers compare against intervals, never for exact equality.
+    Values are indexed k = 1..k_max = len(values).  Returns a rational
+    approximation; callers compare against intervals, never for exact
+    equality.
     """
     k_max = len(values)
-    if window is None:
-        window = (max(1, k_max // 2), k_max)
-    lo, hi = window
     points = [
-        (math.log(k), math.log(values[k - 1])) for k in range(lo, hi + 1) if values[k - 1] > 0
+        (math.log(k), math.log(values[k - 1]))
+        for k in range(max(1, k_max // 2), k_max + 1)
+        if values[k - 1] > 0
     ]
     if len(points) < 2:
         raise PreconditionError("slope fit needs at least two points")
@@ -638,20 +615,16 @@ def growth_profile(frame, k_max, dim_cap=DEFAULT_DIM_CAP):
         basis.extend(new)
         return new
 
-    def profile(dims):
-        window = (max(1, len(dims) // 2), len(dims))
-        return GrowthProfile(dims, fit_loglog_slope(dims, window), window)
-
     new = add_layer(list(frame))
     dims = [len(basis)]
     while dims[-1] <= dim_cap:
         if len(dims) == k_max:
-            return profile(dims)
+            return GrowthProfile(dims, fit_loglog_slope(dims))
         new = add_layer([b * v for b in new for v in others])
         dims.append(len(basis))
     raise ResourceCapError(
         f"span dimension {dims[-1]} exceeded the cap {dim_cap}",
-        partial=profile(dims) if len(dims) > 1 else None,
+        partial=GrowthProfile(dims, fit_loglog_slope(dims)) if len(dims) > 1 else None,
     )
 
 

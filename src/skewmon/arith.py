@@ -830,7 +830,7 @@ def _map_factors(r, image, low=None):
     out = {}
     for key, e in r.fac.items():
         g = image(key.poly)
-        m = g.monomial_content() if low else ()
+        m = tuple(map(min, zip(*g.ints))) if low else ()  # g may be Laurent
         if any(m):
             g = g._shifted([-x for x in m])
             mono = [a + e * x for a, x in zip(mono, m)]
@@ -843,7 +843,7 @@ def _map_factors(r, image, low=None):
     # the map is invertible on Laurent polynomials, so the rests of distinct
     # factors are distinct, and none is a monomial
     out.update((_Factor(Polynomial.variable(nvars, v), v), e) for v, e in enumerate(mono) if e)
-    return out
+    return out or _NO_FACTORS
 
 
 def poly_lcm(p, q):

@@ -416,14 +416,11 @@ def hecke_membership_check(element, mode="degenerate", vanishing_value=None):
                 lambda w=w: order_at_most_one(w),
             )
 
-        seen_pairs = set()
         for w in support:
             partner = ctx.key_compose(s_alpha, w)
-            pair = tuple(sorted([w, partner]))
-            if pair in seen_pairs:
-                continue
-            seen_pairs.add(pair)
-            if orders.get(w, 0) > 1 or orders.get(partner, 0) > 1:
+            if partner in orders and partner < w:
+                continue  # checked from the smaller member of the pair
+            if orders[w] > 1 or orders.get(partner, 0) > 1:
                 report.add(
                     f"cond3: residues along {alpha_name} for {perm_name(w)},{perm_name(partner)}",
                     "fail",

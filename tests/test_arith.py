@@ -25,7 +25,9 @@ from skewmon.arith import (
     restrict_to_hyperplane,
     substitute,
 )
+from skewmon.actions import ScalingAut, VariableTable
 from skewmon.cli import load_scenario_text, run_scenario
+from skewmon.constructors import build_qshift_algebra
 from skewmon.errors import (
     ContextMismatchError,
     DegenerateSubstitutionError,
@@ -314,6 +316,26 @@ class TestRatFunc:
         assert len(calls) == 2
         want = rf(image(r.num), image(r.den))
         assert got == want and got.fac == want.fac == arith._map_factors(r, image)
+
+    def test_a_map_that_leaves_no_factor_shares_the_empty_factorization(self):
+        # x1 -> q*x1 maps the polynomial x1 to q*x1, with no factor to carry
+        ctx = build_qshift_algebra(1, 1)
+        image = ctx.act_key((1,), ctx.table.var("x1"))
+        assert image.fac == {} and image.fac is arith._NO_FACTORS
+
+    @pytest.mark.parametrize("order", ["constant-first", "constant-last"])
+    def test_a_laurent_image_of_a_factor_sheds_its_negative_powers(self, order):
+        # y -> y/q maps the base factor 1 + x + y to (q + q*x + y)/q, so the
+        # image's factor is the polynomial q + q*x + y, whatever term comes first
+        t = VariableTable(["x", "y"], [], ["q"])
+        g = ScalingAut(t, (1, 1, 1), ((0, 0, 0), (0, 0, -1), (0, 0, 0)))
+        x, y, q = (Polynomial.variable(3, i) for i in range(3))
+        one = Polynomial.const(3, 1)
+        terms = [one, x, y] if order == "constant-first" else [y, x, one]
+        factor = Polynomial(3, {e: c for p in terms for e, c in p.terms.items()})
+        got = g.apply(RatFunc(one, factor))
+        assert got == RatFunc(q, q + q * x + y)
+        assert [(key.poly, e) for key, e in got.fac.items()] == [(got.den, 1)]
 
 
 class TestSubstitute:

@@ -11,6 +11,8 @@ substitutions.  Supported groups are finite groups of variable permutations,
 enumerated eagerly at construction up to a hard cap.
 """
 
+from operator import itemgetter
+
 from .arith import QQ, RatFunc, poly_from_text, substitute
 from .errors import (
     ContextMismatchError,
@@ -316,14 +318,17 @@ class Group:
             else:
                 gens.append(PermutationAut(table, tuple(g)).images)
         identity = tuple(range(table.nvars))
+        # p o g is itemgetter(*g)(p); on one variable, where every permutation
+        # is the identity, itemgetter would return an int, not a tuple
+        steps = [itemgetter(*g) for g in gens] if len(identity) > 1 else []
         seen = {identity}
         order = [identity]
         frontier = [identity]
         while frontier:
             nxt = []
             for p in frontier:
-                for g in gens:
-                    q = _perm_compose(p, g)
+                for step in steps:
+                    q = step(p)
                     if q not in seen:
                         seen.add(q)
                         order.append(q)

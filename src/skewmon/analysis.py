@@ -17,7 +17,6 @@ float (``slope_float``), and is only ever tested against intervals.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, combinations_with_replacement
@@ -530,21 +529,21 @@ def standard_identity(n, elements):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class GrowthProfile:
     """Frame-span dimensions d(k) for k = 1..k_max and a fitted log-log slope."""
 
-    dims: list
-    slope: Fraction
+    __slots__ = ("dims", "slope")
 
-    def __post_init__(self):
-        for i in range(1, len(self.dims)):
-            if self.dims[i] < self.dims[i - 1]:
+    def __init__(self, dims, slope):
+        for i in range(1, len(dims)):
+            if dims[i] < dims[i - 1]:
                 raise PreconditionError("growth dimensions must be nondecreasing")
-        for i in range(1, len(self.dims) + 1):
-            for j in range(1, len(self.dims) + 1 - i):
-                if self.dims[i + j - 1] > self.dims[i - 1] * self.dims[j - 1]:
+        for i in range(1, len(dims) + 1):
+            for j in range(1, len(dims) + 1 - i):
+                if dims[i + j - 1] > dims[i - 1] * dims[j - 1]:
                     raise PreconditionError("growth dimensions must be submultiplicative")
+        self.dims = dims
+        self.slope = slope
 
 
 def fit_loglog_slope(values):

@@ -977,6 +977,12 @@ class RatFunc:
         self._check(other)
         if self.num.is_zero() or other.num.is_zero():
             return RatFunc.zero(self.nvars)
+        # a nonzero constant is a unit: it scales the other numerator, and
+        # nothing cancels
+        if len(self.num.ints) == 1 and self._is_const():
+            return other._scaled_by(self.num)
+        if len(other.num.ints) == 1 and other._is_const():
+            return self._scaled_by(other.num)
         if self.fac is None or other.fac is None or not (self.fac or other.fac):
             _, a, d = _cancel(self.num, other.den)
             _, c, b = _cancel(other.num, self.den)
@@ -988,6 +994,17 @@ class RatFunc:
         b = self.den if c is other.num else _expand(fb, self.nvars)
         d = other.den if a is self.num else _expand(fd, self.nvars)
         return RatFunc._raw(a * c, b * d, _times(fb, fd))
+
+    def _is_const(self):
+        """Whether self, with a one-term numerator, is a constant."""
+        return not any(next(iter(self.num.ints))) and self.den.is_constant()
+
+    def _scaled_by(self, c):
+        """self * c for a nonzero constant polynomial c; self when c is 1."""
+        ((_, n),) = c.ints.items()
+        if n == c.denom == 1:
+            return self
+        return RatFunc._raw(self.num._scaled(n, c.denom), self.den, self.fac)
 
     def invert(self):
         if self.num.is_zero():

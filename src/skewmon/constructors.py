@@ -12,8 +12,6 @@
   Hecke-type subalgebras in additive type-A coordinates.
 """
 
-from dataclasses import dataclass
-
 from .arith import (
     QQ,
     Polynomial,
@@ -41,23 +39,22 @@ from .reports import Report
 from .skewring import SkewElement
 
 
-@dataclass
 class AlgebraSpec:
     """A context plus named generators and the commutative-subring generators."""
 
-    context: Context
-    generators: dict
-    gamma_generators: list
+    __slots__ = ("context", "generators", "gamma_generators")
 
-    def __post_init__(self):
-        ctx = self.context
-        for name, u in self.generators.items():
-            if u.context is not ctx:
+    def __init__(self, context, generators, gamma_generators):
+        for name, u in generators.items():
+            if u.context is not context:
                 raise PreconditionError(f"generator {name} built over a foreign context")
-        for gamma in self.gamma_generators:
-            for g in ctx.group.generator_elements():
+        for gamma in gamma_generators:
+            for g in context.group.generator_elements():
                 if g.apply(gamma) != gamma:
                     raise PreconditionError("gamma generator is not G-invariant")
+        self.context = context
+        self.generators = generators
+        self.gamma_generators = gamma_generators
 
     def generator(self, name):
         return self.generators[name]

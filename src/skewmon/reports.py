@@ -2,18 +2,19 @@
 
 import json
 import time
-from dataclasses import dataclass, field
 
 
-@dataclass
 class CheckResult:
     """One verification check: pass/fail, the canonical text of a nonzero
     residual on failure, and the time it took if it was timed."""
 
-    name: str
-    status: str  # "pass" | "fail" | "error"
-    residual: str | None = None
-    timing_ms: float | None = None
+    __slots__ = ("name", "status", "residual", "timing_ms")
+
+    def __init__(self, name, status, residual=None, timing_ms=None):
+        self.name = name
+        self.status = status  # "pass" | "fail" | "error"
+        self.residual = residual
+        self.timing_ms = timing_ms
 
     @property
     def ok(self):
@@ -28,12 +29,14 @@ class CheckResult:
         return out
 
 
-@dataclass
 class Report:
     """A list of checks with an aggregate verdict."""
 
-    title: str
-    checks: list = field(default_factory=list)
+    __slots__ = ("title", "checks")
+
+    def __init__(self, title, checks=None):
+        self.title = title
+        self.checks = [] if checks is None else checks
 
     @property
     def passed(self):

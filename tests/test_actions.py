@@ -16,6 +16,7 @@ from skewmon.actions import (
     ShiftAut,
     VariableTable,
     _ChainAut,
+    _perm_compose,
     act,
     compose,
     conjugate,
@@ -233,6 +234,36 @@ class TestGroup:
         t = VariableTable(["a", "b", "c"])
         g = Group.from_generators(t, [(1, 0, 2), (0, 2, 1)])
         assert len(g) == 6
+
+    @staticmethod
+    def _reference_closure(nvars, gens):
+        """Breadth-first closure from the identity, composing p o g in the
+        order of the generators."""
+        identity = tuple(range(nvars))
+        seen, order, frontier = {identity}, [identity], [identity]
+        while frontier:
+            nxt = []
+            for p in frontier:
+                for g in gens:
+                    q = _perm_compose(p, g)
+                    if q not in seen:
+                        seen.add(q)
+                        order.append(q)
+                        nxt.append(q)
+            frontier = nxt
+        return order
+
+    @pytest.mark.parametrize("n, size", [(3, 12), (4, 288)])
+    def test_closure_order_matches_a_reference_bfs(self, n, size):
+        ctx = gt_embedding(n).context
+        gens = ctx.group.gen_perms
+        closed = Group.from_generators(ctx.table, gens)
+        assert list(closed.perms) == self._reference_closure(ctx.table.nvars, gens)
+        assert len(closed) == size
+
+    def test_closure_on_one_variable(self):
+        t = VariableTable(["x"])
+        assert list(Group.from_generators(t, [(0,)]).perms) == [(0,)]
 
     def test_closure_cap(self):
         t = VariableTable([f"v{i}" for i in range(8)])

@@ -3,9 +3,13 @@ pairs and denominator factorizations, and only it reads a polynomial's
 integer numerators ``ints`` and their common denominator ``denom``; the other
 modules of the package reach them through public methods such as
 ``RatFunc.map``.  No module imports another module's private names, apart
-from the few arith shares."""
+from the few arith shares.  No module imports ``dataclasses`` or ``inspect``,
+which would add their import chain (``ast``, ``dis``, ``tokenize``) to every
+start of the package."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "skewmon"
@@ -17,6 +21,9 @@ SHARED_PRIVATE = {"_accumulate", "_strip"}
 #: Attributes only arith reads: the rational view of a polynomial, its integer
 #: numerators and their denominator, and a denominator's factorization.
 PRIVATE_SLOTS = ("terms", "ints", "denom", "fac")
+
+#: Standard-library modules the package must not import, directly or not.
+HEAVY_IMPORTS = ("dataclasses", "inspect")
 
 
 def _tree(path):
@@ -74,3 +81,36 @@ def test_inside_arith_only_repr_and_substitution_read_the_rational_view():
         if isinstance(node, ast.Attribute) and node.attr == "terms"
     }
     assert readers == {"__repr__", "_ratfunc_substitute"}
+
+
+def test_no_module_imports_dataclasses_or_inspect():
+    violations = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            violations += [
+                f"{path.name}:{node.lineno} imports {name}"
+                for name in names
+                if name.partition(".")[0] in HEAVY_IMPORTS
+            ]
+    assert not violations, violations
+
+
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    # compare the module sets around the import: site may load either itself
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import skewmon\n"
+        f"print(sorted((set(sys.modules) - before) & {set(HEAVY_IMPORTS)!r}))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], cwd=SRC.parent, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "[]", out.stdout + out.stderr

@@ -452,3 +452,21 @@ def test_every_operation_keeps_polynomials_in_lowest_terms(p, q, d, c, var, k, s
         *filter(None, [maybe]), p.shift_vars(shifts), *p.coeffs_in(var).values(),
         *p.split_head(k).values(), quotient, p**e, p * Polynomial.const(NV, c),
     )
+
+
+# canonical operands with the three kinds of factorization: found by the
+# constructor, built from base factors, and unknown
+canonical_ratfuncs = st.one_of(
+    nonzero_ratfuncs,
+    st.builds(_factored, small_nonzero, factor_lists),
+    st.builds(_factored, small_nonzero, factor_lists).map(_dropped),
+)
+
+
+@fast
+@given(canonical_ratfuncs, nonzero_coeffs)
+def test_a_constant_factor_scales_the_numerator_and_keeps_the_factorization(f, c):
+    expected = RatFunc(f.num.scale(c), f.den)
+    for product in (RatFunc.const(NV, c) * f, f * RatFunc.const(NV, c)):
+        assert product == expected
+        assert product.fac == f.fac

@@ -67,10 +67,6 @@ def prod(*args):
     return {"prod": list(args)}
 
 
-def lincomb(*pairs):
-    return {"sum": [{"scale": [str(c), e]} for c, e in pairs]}
-
-
 def scaled(c, e):
     return {"scale": [str(c), e]}
 

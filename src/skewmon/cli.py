@@ -29,7 +29,6 @@ from .constructors import (
     gt_embedding,
     gwa_embed,
     hecke_membership_check,
-    verify_gwa,
     witten_woronowicz_spec,
 )
 from .analysis import (
@@ -37,7 +36,6 @@ from .analysis import (
     center_candidates,
     evaluate_expression,
     fit_loglog_slope,
-    gl_relation_set,
     growth_profile,
     monoid_growth,
     standard_identity,
@@ -62,7 +60,6 @@ class _Runtime:
     def __init__(self, scenario, cap_dim, cap_group):
         self.cap_dim = cap_dim
         self.cap_group = cap_group
-        self.gwa_spec = None
         block = scenario.get("algebra")
         if not isinstance(block, dict) or "kind" not in block:
             raise ScenarioError("scenario needs an algebra block with a kind")
@@ -84,7 +81,7 @@ class _Runtime:
             group = [_one_line(p) for p in block.get("group", [])] or None
             return lambda: AlgebraSpec(build(n, m, group_generators=group, group_cap=cap), {}, [])
         if kind == "gwa":
-            self.gwa_spec = spec = self._gwa_spec(block)
+            spec = self._gwa_spec(block)
             return lambda: gwa_embed(spec)
         if kind == "gt":
             n = _int(block["n"], "n")
@@ -126,7 +123,7 @@ class _Runtime:
 def _nilhecke(n, cap):
     thetas = demazure_elements(n, group_cap=cap)
     gens = {f"theta{i + 1}": th for i, th in enumerate(thetas)}
-    return AlgebraSpec(thetas[0].context, gens, [])
+    return AlgebraSpec(thetas[0].context, gens, [], theta_relation_set(n))
 
 
 def _one_line(perm):
@@ -148,14 +145,12 @@ def _int(value, field):
 # ---------------------------------------------------------------------------
 
 
-def _job_verify_gwa(rt, job):
-    return verify_gwa(rt.gwa_spec), {}
-
-
-def _job_verify_relations(rt, job):
+def _job_relations(rt, job):
+    """verify_relations with an inline table, or any of the three relation
+    ops with the algebra's own table, which TABLE_KINDS makes the right one."""
     rels = job.get("relations", "gl")
-    if rels == "gl":  # gl_n on a gt algebra: the n variables of row n are the fixed ones
-        rels = gl_relation_set(rt.algebra.context.table.n_fixed)
+    if job["op"] != "verify_relations" or rels == "gl":
+        rels = rt.algebra.relations
     return verify_relations(rt.algebra, rels), {}
 
 
@@ -213,11 +208,6 @@ def _job_standard_identity_repeated(rt, job):
     ), {"seed": job["seed"]}
 
 
-def _job_theta_relations(rt, job):
-    n = rt.algebra.context.table.nvars
-    return verify_relations(rt.algebra, theta_relation_set(n)), {}
-
-
 def _job_hecke_check(rt, job):
     element = evaluate_expression(rt.algebra, job["element"])
     vanish = job.get("vanishing_value")
@@ -253,8 +243,8 @@ def _job_monoid_growth(rt, job):
 
 #: op -> (handler, required parameters)
 JOBS = {
-    "verify_gwa": (_job_verify_gwa, ()),
-    "verify_relations": (_job_verify_relations, ()),
+    "verify_gwa": (_job_relations, ()),
+    "verify_relations": (_job_relations, ()),
     "invariance": (_job_invariance, ()),
     "support_lattice_rank": (_job_support_lattice_rank, ()),
     "center_candidates": (_job_center_candidates, ("degree_bound",)),
@@ -262,7 +252,7 @@ JOBS = {
     "ore_witness_random": (_job_ore_witness_random, ("count", "seed")),
     "standard_identity": (_job_standard_identity, ("elements",)),
     "standard_identity_repeated": (_job_standard_identity_repeated, ("count", "seed")),
-    "theta_relations": (_job_theta_relations, ()),
+    "theta_relations": (_job_relations, ()),
     "hecke_check": (_job_hecke_check, ("element",)),
     "growth_profile": (_job_growth_profile, ("frame", "k_max")),
     "monoid_growth": (_job_monoid_growth, ("generators", "k_max")),
@@ -513,7 +503,7 @@ def main(argv=None):
         return 2
     try:
         scenario = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError of bytes not UTF-8
         print(f"error: scenario is not valid JSON: {exc}", file=sys.stderr)
         return 2
 
@@ -532,8 +522,12 @@ def main(argv=None):
         report = strip_timings(report)
     payload = dump_json(report) if args.format == "json" else render_text(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload + "\n")
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return 2
     else:
         print(payload)
     return 0 if report["aggregate"] == "pass" else 1

@@ -16,7 +16,6 @@ from .arith import (
     QQ,
     Polynomial,
     RatFunc,
-    _strip,
     pole_order,
     poly_to_text,
     ratfunc_to_text,
@@ -33,18 +32,19 @@ from .actions import (
     ShiftAut,
     VariableTable,
 )
-from .analysis import comm, gen, prod, sum_of, verify_relations
-from .errors import PreconditionError, UnsupportedModeError
+from .analysis import comm, gen, gl_relation_set, prod, sum_of, verify_relations
+from .errors import DegenerateSubstitutionError, PreconditionError, UnsupportedModeError
 from .reports import Report
 from .skewring import SkewElement
 
 
 class AlgebraSpec:
-    """A context plus named generators and the commutative-subring generators."""
+    """A context plus named generators, the commutative-subring generators
+    and the algebra's own defining relations, a ``verify_relations`` table."""
 
-    __slots__ = ("context", "generators", "gamma_generators")
+    __slots__ = ("context", "generators", "gamma_generators", "relations")
 
-    def __init__(self, context, generators, gamma_generators):
+    def __init__(self, context, generators, gamma_generators, relations=()):
         for name, u in generators.items():
             if u.context is not context:
                 raise PreconditionError(f"generator {name} built over a foreign context")
@@ -55,6 +55,7 @@ class AlgebraSpec:
         self.context = context
         self.generators = generators
         self.gamma_generators = gamma_generators
+        self.relations = relations
 
     def generator(self, name):
         return self.generators[name]
@@ -159,7 +160,8 @@ class GWASpec:
 
 
 def gwa_embed(spec):
-    """Embed the GWA into Frac(D) * Z^r: X_i^+ -> 1*e_i, X_i^- -> a_i*e_i^{-1}."""
+    """Embed the GWA into Frac(D) * Z^r: X_i^+ -> 1*e_i, X_i^- -> a_i*e_i^{-1};
+    the embedding carries the GWA's defining relations."""
     ctx = spec.context
     rank = spec.rank
     gens = {}
@@ -170,7 +172,7 @@ def gwa_embed(spec):
         RatFunc.variable(spec.table.nvars, i)
         for i in range(spec.table.n_acted + spec.table.n_fixed)
     ]
-    return AlgebraSpec(ctx, gens, gamma)
+    return AlgebraSpec(ctx, gens, gamma, _gwa_relations(spec, ctx))
 
 
 def _gwa_relations(spec, ctx):
@@ -211,7 +213,7 @@ def _gwa_relations(spec, ctx):
 def verify_gwa(spec):
     """Check every defining relation of the GWA against the embedding."""
     alg = gwa_embed(spec)
-    return verify_relations(alg, _gwa_relations(spec, alg.context))
+    return verify_relations(alg, alg.relations)
 
 
 def witten_woronowicz_spec():
@@ -254,7 +256,8 @@ def gt_embedding(n, group_cap=DEFAULT_GROUP_CAP):
     with d_ki the unit lattice vector shifting x_ki.  The additive constants
     are pinned by the commutation relations (the full relation suite is the
     convention oracle).  The commutative subring generators are the row power
-    sums, which are invariant under the row permutations.
+    sums, which are invariant under the row permutations.  The relations are
+    the gl_n table, ``gl_relation_set(n)``.
     """
     if n < 1:
         raise PreconditionError("rank must be at least 1")
@@ -315,7 +318,7 @@ def gt_embedding(n, group_cap=DEFAULT_GROUP_CAP):
             for i in range(1, k + 1):
                 p = p + x(k, i) ** s
             gamma.append(RatFunc.from_poly(p))
-    return AlgebraSpec(ctx, gens, gamma)
+    return AlgebraSpec(ctx, gens, gamma, gl_relation_set(n))
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +362,9 @@ def hecke_membership_check(element, mode="degenerate", vanishing_value=None):
     * condition 4 (mode="q" only): f_w vanishes on alpha = vanishing_value
       whenever w^{-1}(alpha) is a negative root.
 
-    Higher-order poles are reported as condition-1 failures, not raised.
+    Condition 1 computes the pole orders along every root once, and the
+    others read them.  No failure is raised: a higher-order pole, or a pole
+    on alpha = vanishing_value, is a failed check.
     """
     ctx = element.context
     if ctx.mode != FINITE_GROUP:
@@ -377,6 +382,7 @@ def hecke_membership_check(element, mode="degenerate", vanishing_value=None):
     names = ctx.table.names
     report = Report(f"Hecke membership conditions ({mode})")
     support = sorted(element.coeffs)
+    orders = {}  # (w, r) -> the pole order of f_w along hyperplanes[r]
 
     def perm_name(w):
         return "(" + " ".join(str(x + 1) for x in w) + ")"
@@ -384,12 +390,22 @@ def hecke_membership_check(element, mode="degenerate", vanishing_value=None):
     def zero_or_text(r):
         return None if r.is_zero() else ratfunc_to_text(r, names)
 
-    # condition 1b: poles only along root hyperplanes
+    # condition 1b: poles only along root hyperplanes; it fills orders
     def leftover_denominator(w):
-        den = element.coeffs[w].den
-        for h in hyperplanes:
-            den = _strip(den, h.monic())[1]
+        f, along = element.coeffs[w], Polynomial.const(n, 1)
+        for r, h in enumerate(hyperplanes):
+            orders[w, r] = k = pole_order(f, h, 0)
+            if k:
+                along = along * h.monic() ** k
+        den = f.den.divide_exact(along)
         return None if den.is_constant() else f"leftover denominator {poly_to_text(den, names)}"
+
+    def vanishes(w, h, level):  # condition 4
+        try:
+            f = restrict_to_hyperplane(element.coefficient(w), h, QQ(vanishing_value))
+        except DegenerateSubstitutionError:
+            return f"pole on {level}"
+        return zero_or_text(f)
 
     for w in support:
         report.check(
@@ -397,27 +413,21 @@ def hecke_membership_check(element, mode="degenerate", vanishing_value=None):
             lambda w=w: leftover_denominator(w),
         )
 
-    for (i, j), h in zip(roots, hyperplanes):
+    for r, ((i, j), h) in enumerate(zip(roots, hyperplanes)):
         alpha_name = f"{names[i]}-{names[j]}"
         s_alpha = _swap(n, i, j)
-
-        orders = {}
-
-        def order_at_most_one(w):
-            orders[w] = pole_order(element.coeffs[w], h, 0)
-            return None if orders[w] <= 1 else f"pole order {orders[w]}"
 
         for w in support:
             report.check(
                 f"cond1: pole order of f_{perm_name(w)} along {alpha_name} <= 1",
-                lambda w=w: order_at_most_one(w),
+                lambda k=orders[w, r]: None if k <= 1 else f"pole order {k}",
             )
 
         for w in support:
             partner = ctx.key_compose(s_alpha, w)
-            if partner in orders and partner < w:
+            if partner in element.coeffs and partner < w:
                 continue  # checked from the smaller member of the pair
-            if orders[w] > 1 or orders.get(partner, 0) > 1:
+            if orders[w, r] > 1 or orders.get((partner, r), 0) > 1:
                 report.add(
                     f"cond3: residues along {alpha_name} for {perm_name(w)},{perm_name(partner)}",
                     "fail",
@@ -433,23 +443,22 @@ def hecke_membership_check(element, mode="degenerate", vanishing_value=None):
             )
 
         if mode == "q":
+            level = f"{alpha_name} = {vanishing_value}"
             for w in support:
                 winv = ctx.key_inverse(w)
                 # w^{-1}(alpha) = x_{w^{-1}(i)} - x_{w^{-1}(j)} is negative iff
                 # the indices come out of order
                 if winv[i] < winv[j]:
                     continue
-                if orders.get(w, 0) > 1:
+                if orders[w, r] > 1:
                     report.add(
-                        f"cond4: f_{perm_name(w)} vanishes on {alpha_name} = {vanishing_value}",
+                        f"cond4: f_{perm_name(w)} vanishes on {level}",
                         "fail",
                         residual="higher-order pole; restriction undefined",
                     )
                     continue
                 report.check(
-                    f"cond4: f_{perm_name(w)} vanishes on {alpha_name} = {vanishing_value}",
-                    lambda w=w: zero_or_text(
-                        restrict_to_hyperplane(element.coefficient(w), h, QQ(vanishing_value))
-                    ),
+                    f"cond4: f_{perm_name(w)} vanishes on {level}",
+                    lambda w=w: vanishes(w, h, level),
                 )
     return report

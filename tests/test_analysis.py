@@ -24,6 +24,7 @@ from skewmon.constructors import (
     demazure_elements,
     gt_embedding,
     gwa_embed,
+    symmetric_group_context,
     witten_woronowicz_spec,
 )
 from skewmon.skewring import SkewElement, commutator
@@ -96,7 +97,7 @@ class TestVerifyRelations:
             verify_relations(spec, [{"name": "bad", "expr": gen("nope")}])
 
     def test_expression_helpers(self):
-        from skewmon.analysis import evaluate_expression, lincomb, prod, scaled
+        from skewmon.analysis import evaluate_expression, prod, scaled
 
         ctx = build_shift_algebra(1, 1)
         eps = SkewElement.generator(ctx, (1,))
@@ -105,7 +106,7 @@ class TestVerifyRelations:
         assert evaluate_expression(spec, prod(gen("eps"), gen("x"))) == eps * x
         minus_three_halves = SkewElement.scalar(ctx, RatFunc.const(1, "-3/2"))
         assert evaluate_expression(spec, scaled("-3/2", gen("x"))) == minus_three_halves * x
-        value = evaluate_expression(spec, lincomb((2, gen("x")), ("-1/2", gen("eps"))))
+        value = evaluate_expression(spec, sum_of(scaled(2, gen("x")), scaled("-1/2", gen("eps"))))
         assert value == 2 * x - SkewElement.scalar(ctx, RatFunc.const(1, "1/2")) * eps
         const = evaluate_expression(spec, {"const": "5/3"})
         assert const == SkewElement.scalar(ctx, RatFunc.const(1, "5/3"))
@@ -368,6 +369,25 @@ class TestCenter:
         basis = center_candidates(spec, 4)
         assert [poly_to_text(b.num, t.names) for b in basis] == ["1", "1*x*y", "1*x^2*y^2"]
         assert all(b.is_polynomial() for b in basis)
+
+    @pytest.mark.parametrize("degree, dimension", [(0, 1), (1, 2), (2, 4), (3, 7)])
+    def test_finite_group_keys_give_the_monomial_symmetric_polynomials(self, degree,
+                                                                        dimension):
+        # the keys S_3 fix a polynomial through the generators of the key group
+        ctx = symmetric_group_context(3)
+        basis = center_candidates(AlgebraSpec(ctx, {}, []), degree)
+        # m_lambda: the sum of x^e over the distinct rearrangements e of lambda
+        orbits = {}
+        for e in itertools.product(range(degree + 1), repeat=3):
+            if sum(e) <= degree:
+                orbits.setdefault(tuple(sorted(e)), []).append(e)
+        expected = [sum((Polynomial.monomial(3, e) for e in orbit), Polynomial.zero(3))
+                    for orbit in orbits.values()]
+        names = ctx.table.names
+        assert len(basis) == dimension
+        assert all(b.is_polynomial() for b in basis)
+        assert sorted(poly_to_text(b.num, names) for b in basis) == sorted(
+            poly_to_text(m, names) for m in expected)
 
     def test_always_contains_constants(self):
         alg = gt_embedding(2)

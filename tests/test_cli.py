@@ -12,6 +12,7 @@ from skewmon.cli import (
     run_scenario,
     strip_timings,
 )
+from skewmon.constructors import gwa_embed
 from skewmon.errors import DefinitionError, ResourceCapError
 from skewmon.reports import dump_json
 
@@ -158,6 +159,31 @@ class TestSuites:
         report = run_scenario(scenario)
         assert report["aggregate"] == "pass"
 
+    def test_verify_gwa_builds_the_gwa_once(self, monkeypatch):
+        builds = []
+
+        def counted(spec):
+            builds.append(spec)
+            return gwa_embed(spec)
+
+        monkeypatch.setattr(cli, "gwa_embed", counted)
+        scenario = {"algebra": {"kind": "gwa", "preset": "witten-woronowicz"},
+                    "jobs": [{"op": "verify_gwa"}]}
+        assert run_scenario(scenario)["aggregate"] == "pass"
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("algebra, op, count", [
+        ({"kind": "gwa", "preset": "witten-woronowicz"}, "verify_gwa", 6),
+        ({"kind": "nilhecke", "n": 3}, "theta_relations", 3),
+    ])
+    def test_built_in_tables_ignore_an_inline_table(self, algebra, op, count):
+        inline = [{"name": "never checked", "expr": {"const": "1"}}]
+        own, with_inline = run_scenario({"algebra": algebra, "jobs": [
+            {"op": op}, {"op": op, "relations": inline}]})["jobs"]
+        own, with_inline = strip_timings(own), strip_timings(with_inline)
+        assert with_inline["checks"] == own["checks"]
+        assert len(own["checks"]) == count and own["status"] == "pass"
+
     def test_explicit_scaling_gwa_block(self):
         scenario = {
             "title": "inline scaling gwa",
@@ -198,6 +224,28 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert main(["run", str(bad)]) == 2
         capsys.readouterr()
+
+    def test_scenario_not_utf8_is_two_with_one_error_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\x80\x81{}")
+        assert main(["run", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario is not valid JSON: ") and err.count("\n") == 1
+
+    def test_unwritable_out_is_two_with_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "report.json"
+        assert main(["run", "growth-weyl", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write report: ") and err.count("\n") == 1
+
+    def test_q_pole_on_the_shifted_hyperplane_is_one(self, tmp_path, capsys):
+        element = {"terms": [{"key": [1, 0], "num": "1", "den": "x1 + -1*x2 + -1"}]}
+        job = {"op": "hecke_check", "element": element, "mode": "q", "vanishing_value": 1}
+        path = tmp_path / "q-pole.json"
+        path.write_text(json.dumps({"algebra": {"kind": "nilhecke", "n": 2}, "jobs": [job]}))
+        assert main(["run", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL cond4: f_(2 1) vanishes on x1-x2 = 1  <- pole on x1-x2 = 1" in out
 
     def test_unknown_op_is_two(self, tmp_path, capsys):
         scenario = {"algebra": {"kind": "gt", "n": 2},

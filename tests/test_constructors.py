@@ -201,8 +201,9 @@ class TestGWA:
 
     def test_relation_table_is_plain_json_and_runs_inline(self):
         spec = witten_woronowicz_spec()
-        table = _gwa_relations(spec, gwa_embed(spec).context)
-        table = json.loads(json.dumps(table))
+        alg = gwa_embed(spec)
+        assert alg.relations == _gwa_relations(spec, alg.context)
+        table = json.loads(json.dumps(alg.relations))
         scenario = {"algebra": {"kind": "gwa", "preset": "witten-woronowicz"},
                     "jobs": [{"op": "verify_gwa"},
                              {"op": "verify_relations", "relations": table}]}
@@ -402,6 +403,50 @@ class TestHeckeCheck:
              "higher-order pole; restriction undefined"),
         ]
 
+    @pytest.mark.parametrize("mode", ["degenerate", "q"])
+    def test_every_check_of_a_double_pole_is_pinned(self, mode):
+        # f_(2 1 3) = 1/(x1-x2)^2 and f_(1 2 3) = x1: every name, status and
+        # residual, the failure paths of conditions 1, 3 and 4 included
+        ctx = symmetric_group_context(3)
+        x1 = Polynomial.variable(3, 0)
+        alpha = x1 - Polynomial.variable(3, 1)
+        elem = SkewElement(ctx, {(1, 0, 2): RatFunc.from_poly(alpha * alpha).invert(),
+                                 (0, 1, 2): RatFunc.from_poly(x1)})
+        kwargs = {"mode": "q", "vanishing_value": 1} if mode == "q" else {}
+        report = hecke_membership_check(elem, **kwargs)
+        cond4 = [("cond4: f_(2 1 3) vanishes on x1-x2 = 1", "fail",
+                  "higher-order pole; restriction undefined")] if mode == "q" else []
+        assert [(c.name, c.status, c.residual) for c in report.checks] == [
+            ("cond1: poles of f_(1 2 3) lie on root hyperplanes", "pass", None),
+            ("cond1: poles of f_(2 1 3) lie on root hyperplanes", "pass", None),
+            ("cond1: pole order of f_(1 2 3) along x1-x2 <= 1", "pass", None),
+            ("cond1: pole order of f_(2 1 3) along x1-x2 <= 1", "fail", "pole order 2"),
+            ("cond3: residues along x1-x2 for (1 2 3),(2 1 3)", "fail",
+             "higher-order pole; residue undefined"),
+        ] + cond4 + [
+            ("cond1: pole order of f_(1 2 3) along x1-x3 <= 1", "pass", None),
+            ("cond1: pole order of f_(2 1 3) along x1-x3 <= 1", "pass", None),
+            ("cond3: Res f_(1 2 3) + Res f_(3 2 1) = 0 along x1-x3", "pass", None),
+            ("cond3: Res f_(2 1 3) + Res f_(2 3 1) = 0 along x1-x3", "pass", None),
+            ("cond1: pole order of f_(1 2 3) along x2-x3 <= 1", "pass", None),
+            ("cond1: pole order of f_(2 1 3) along x2-x3 <= 1", "pass", None),
+            ("cond3: Res f_(1 2 3) + Res f_(1 3 2) = 0 along x2-x3", "pass", None),
+            ("cond3: Res f_(2 1 3) + Res f_(3 1 2) = 0 along x2-x3", "pass", None),
+        ]
+
+    def test_q_mode_pole_on_the_shifted_hyperplane_fails_condition4(self):
+        # 1/(x1 - x2 - 1) has its pole on x1-x2 = 1, where condition 4 restricts
+        ctx = symmetric_group_context(2)
+        alpha = Polynomial.variable(2, 0) - Polynomial.variable(2, 1)
+        elem = SkewElement(ctx, {(1, 0): RatFunc.from_poly(alpha - Polynomial.const(2, 1))
+                                 .invert()})
+        report = hecke_membership_check(elem, mode="q", vanishing_value=1)
+        assert [(c.name, c.residual) for c in report.failures()] == [
+            ("cond1: poles of f_(2 1) lie on root hyperplanes",
+             "leftover denominator 1*x1 + -1*x2 + -1"),
+            ("cond4: f_(2 1) vanishes on x1-x2 = 1", "pole on x1-x2 = 1"),
+        ]
+
     def test_q_mode_requires_level(self):
         th = demazure_elements(2)[0]
         with pytest.raises(PreconditionError):
@@ -411,3 +456,16 @@ class TestHeckeCheck:
         ctx = build_shift_algebra(2, 2)
         with pytest.raises(UnsupportedModeError):
             hecke_membership_check(SkewElement.one(ctx))
+
+
+class TestRelationTables:
+    def test_each_builder_fills_the_table_of_its_algebra(self):
+        from skewmon.analysis import gl_relation_set, theta_relation_set
+        from skewmon.cli import _Runtime
+
+        assert gt_embedding(3).relations == gl_relation_set(3)
+        nilhecke = _Runtime({"algebra": {"kind": "nilhecke", "n": 4}}, 4096, 10080).algebra
+        assert nilhecke.relations == theta_relation_set(4)
+        spec = witten_woronowicz_spec()
+        assert [r["name"] for r in gwa_embed(spec).relations] == [
+            c.name for c in verify_gwa(spec).checks]

@@ -3,9 +3,9 @@ pairs and denominator factorizations, and only it reads a polynomial's
 integer numerators ``ints`` and their common denominator ``denom``; the other
 modules of the package reach them through public methods such as
 ``RatFunc.map``.  No module imports another module's private names, apart
-from the few arith shares.  No module imports ``dataclasses`` or ``inspect``,
-which would add their import chain (``ast``, ``dis``, ``tokenize``) to every
-start of the package."""
+from the one that arith shares, ``_accumulate``.  No module imports
+``dataclasses`` or ``inspect``, which would add their import chain (``ast``,
+``dis``, ``tokenize``) to every start of the package."""
 
 import ast
 import subprocess
@@ -15,8 +15,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "skewmon"
 
 #: Private arith names other modules may import: the sparse accumulator of
-#: skew sums and reducer rows, and the factor stripping of membership checks.
-SHARED_PRIVATE = {"_accumulate", "_strip"}
+#: skew sums and reducer rows.
+SHARED_PRIVATE = {"_accumulate"}
 
 #: Attributes only arith reads: the rational view of a polynomial, its integer
 #: numerators and their denominator, and a denominator's factorization.

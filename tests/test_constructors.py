@@ -9,6 +9,7 @@ from skewmon.errors import PreconditionError, ResourceCapError, UnsupportedModeE
 from skewmon.skewring import SkewElement, commutator, is_invariant, kpart
 from skewmon.cli import run_scenario
 from skewmon.constructors import (
+    AlgebraSpec,
     GWASpec,
     _gwa_relations,
     build_qshift_algebra,
@@ -460,12 +461,13 @@ class TestHeckeCheck:
 
 class TestRelationTables:
     def test_each_builder_fills_the_table_of_its_algebra(self):
+        from skewmon.actions import DEFAULT_GROUP_CAP
         from skewmon.analysis import gl_relation_set, theta_relation_set
-        from skewmon.cli import _Runtime
+        from skewmon.cli import _nilhecke
 
         assert gt_embedding(3).relations == gl_relation_set(3)
-        nilhecke = _Runtime({"algebra": {"kind": "nilhecke", "n": 4}}, 4096, 10080).algebra
-        assert nilhecke.relations == theta_relation_set(4)
+        assert _nilhecke(4, DEFAULT_GROUP_CAP).relations == theta_relation_set(4)
+        assert AlgebraSpec(build_shift_algebra(2, 2), {}, []).relations == ()
         spec = witten_woronowicz_spec()
         assert [r["name"] for r in gwa_embed(spec).relations] == [
             c.name for c in verify_gwa(spec).checks]

@@ -11,7 +11,7 @@ substitutions.  Supported groups are finite groups of variable permutations,
 enumerated eagerly at construction up to a hard cap.
 """
 
-from operator import itemgetter
+from operator import add, itemgetter, neg
 
 from .arith import QQ, RatFunc, poly_from_text, substitute
 from .errors import (
@@ -58,6 +58,12 @@ class VariableTable:
     def var(self, name):
         return RatFunc.variable(self.nvars, self.index(name))
 
+    def variables(self):
+        """New variables x_1..x_n.  Each keeps its images (``RatFunc.image``)
+        for as long as it lives, so checks that share them map each variable
+        once per automorphism."""
+        return [RatFunc.variable(self.nvars, i) for i in range(self.nvars)]
+
     def poly(self, text):
         return RatFunc.from_poly(poly_from_text(text, self.names))
 
@@ -101,14 +107,11 @@ class Automorphism:
         base = self if k > 0 else self.inverse()
         return _ChainAut(self.table, (base,) * abs(k))
 
-    def commutes_with(self, other):
-        """Symbolic check on every variable."""
-        nv = self.table.nvars
-        for i in range(nv):
-            x = RatFunc.variable(nv, i)
-            if self.apply(other.apply(x)) != other.apply(self.apply(x)):
-                return False
-        return True
+    def commutes_with(self, other, xs):
+        """Symbolic check on every variable of ``xs``, the table's variables
+        (``VariableTable.variables``).  The images of the variables are kept
+        on them; the composites, read once, are not."""
+        return all(self.apply(x.image(other)) == other.apply(x.image(self)) for x in xs)
 
 
 class ShiftAut(Automorphism):
@@ -447,9 +450,10 @@ class Context:
         self._certified = set()  # permutations whose lattice conjugation is proven
         self._auts = {}  # lattice key -> its automorphism, built on first use
         if mode == LATTICE:
+            xs = table.variables()  # each generator maps each variable once
             for i, a in enumerate(self.generators):
                 for b in self.generators[i + 1 :]:
-                    if not a.commutes_with(b):
+                    if not a.commutes_with(b, xs):
                         raise PreconditionError(
                             "lattice generators must commute (checked symbolically)"
                         )
@@ -474,7 +478,7 @@ class Context:
 
     def key_compose(self, a, b):
         if self.mode == LATTICE:
-            return tuple(x + y for x, y in zip(a, b))
+            return tuple(map(add, a, b))
         return _perm_compose(a, b)
 
     def key_inverse(self, a):
@@ -483,7 +487,7 @@ class Context:
                 raise NotInvertibleError(
                     f"{a} is not invertible in the N^m monoid"
                 )
-            return tuple(-x for x in a)
+            return tuple(map(neg, a))
         return _perm_inverse(a)
 
     def key_valid(self, a):
@@ -562,26 +566,35 @@ class Context:
         coordinate rule sigma composes like the permutations, so checking the
         generators of ``self.group`` certifies every element of it on every
         key.  A permutation from another group is checked by itself.
+
+        Every check reads one set of variables, so act(e_i)(x_k) is computed
+        once per unit vector and variable, for every s and for the right-hand
+        sides too (sigma_s e_i is again a unit vector).  Nothing outlives the
+        call.
         """
         own = getattr(g, "group", None) is self.group
         checked = self.group.generator_elements() if own else [g]
+        xs = self.table.variables()
         try:
             for s in checked:
                 for i in range(self.rank):
                     unit = tuple(int(j == i) for j in range(self.rank))
-                    self._verify_conjugation(s, unit, self._coord_image(s.images, unit))
+                    self._verify_conjugation(s, unit, self._coord_image(s.images, unit), xs)
         except NormalizationViolationError:
             return False
         self._certified.update(self.group.perms if own else [g.images])
         return True
 
-    def _verify_conjugation(self, g, key, candidate):
-        g_inv = g.inverse()
-        nv = self.table.nvars
-        for i in range(nv):
-            lhs = g.apply(self.act_key(key, g_inv.apply(RatFunc.variable(nv, i))))
-            rhs = self.act_key(candidate, RatFunc.variable(nv, i))
-            if lhs != rhs:
+    def _verify_conjugation(self, g, key, candidate, xs=None):
+        """Check g act(key) g^{-1} = act(candidate) on each variable x_j of
+        ``xs`` (new variables when not given).  g^{-1}(x_j) is the variable
+        x_{g^{-1}(j)} of ``xs`` itself, and ``act_key`` keeps each image on
+        its variable; the image under g, read once, is not kept."""
+        if xs is None:
+            xs = self.table.variables()
+        inv = _perm_inverse(g.images)
+        for j, x in enumerate(xs):
+            if g.apply(self.act_key(key, xs[inv[j]])) != self.act_key(candidate, x):
                 raise NormalizationViolationError(
                     f"conjugation of {key} by {g.images} is not a lattice element"
                 )

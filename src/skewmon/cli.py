@@ -123,7 +123,7 @@ class _Runtime:
 def _nilhecke(n, cap):
     thetas = demazure_elements(n, group_cap=cap)
     gens = {f"theta{i + 1}": th for i, th in enumerate(thetas)}
-    return AlgebraSpec(thetas[0].context, gens, [], theta_relation_set(n))
+    return AlgebraSpec(thetas[0].context, gens, [], lambda: theta_relation_set(n))
 
 
 def _one_line(perm):

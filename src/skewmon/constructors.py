@@ -40,9 +40,12 @@ from .skewring import SkewElement
 
 class AlgebraSpec:
     """A context plus named generators, the commutative-subring generators
-    and the algebra's own defining relations, a ``verify_relations`` table."""
+    and the algebra's own defining relations, a ``verify_relations`` table.
 
-    __slots__ = ("context", "generators", "gamma_generators", "relations")
+    ``relations`` is the table, or a function of no arguments that returns
+    it; such a function is called the first time ``relations`` is read."""
+
+    __slots__ = ("context", "generators", "gamma_generators", "_relations")
 
     def __init__(self, context, generators, gamma_generators, relations=()):
         for name, u in generators.items():
@@ -55,7 +58,13 @@ class AlgebraSpec:
         self.context = context
         self.generators = generators
         self.gamma_generators = gamma_generators
-        self.relations = relations
+        self._relations = relations
+
+    @property
+    def relations(self):
+        if callable(self._relations):
+            self._relations = self._relations()
+        return self._relations
 
     def generator(self, name):
         return self.generators[name]
@@ -172,7 +181,7 @@ def gwa_embed(spec):
         RatFunc.variable(spec.table.nvars, i)
         for i in range(spec.table.n_acted + spec.table.n_fixed)
     ]
-    return AlgebraSpec(ctx, gens, gamma, _gwa_relations(spec, ctx))
+    return AlgebraSpec(ctx, gens, gamma, lambda: _gwa_relations(spec, ctx))
 
 
 def _gwa_relations(spec, ctx):
@@ -318,7 +327,7 @@ def gt_embedding(n, group_cap=DEFAULT_GROUP_CAP):
             for i in range(1, k + 1):
                 p = p + x(k, i) ** s
             gamma.append(RatFunc.from_poly(p))
-    return AlgebraSpec(ctx, gens, gamma, gl_relation_set(n))
+    return AlgebraSpec(ctx, gens, gamma, lambda: gl_relation_set(n))
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +371,11 @@ def hecke_membership_check(element, mode="degenerate", vanishing_value=None):
     * condition 4 (mode="q" only): f_w vanishes on alpha = vanishing_value
       whenever w^{-1}(alpha) is a negative root.
 
-    Condition 1 computes the pole orders along every root once, and the
-    others read them.  No failure is raised: a higher-order pole, or a pole
-    on alpha = vanishing_value, is a failed check.
+    Condition 1 computes the pole orders along every root once, and
+    condition 3 reads them.  Condition 4 restricts f_w to alpha =
+    vanishing_value, where f_w can be regular whatever its pole order along
+    alpha = 0.  No failure is raised: a higher-order pole in condition 3, or
+    a pole on alpha = vanishing_value, is a failed check.
     """
     ctx = element.context
     if ctx.mode != FINITE_GROUP:
@@ -449,13 +460,6 @@ def hecke_membership_check(element, mode="degenerate", vanishing_value=None):
                 # w^{-1}(alpha) = x_{w^{-1}(i)} - x_{w^{-1}(j)} is negative iff
                 # the indices come out of order
                 if winv[i] < winv[j]:
-                    continue
-                if orders[w, r] > 1:
-                    report.add(
-                        f"cond4: f_{perm_name(w)} vanishes on {level}",
-                        "fail",
-                        residual="higher-order pole; restriction undefined",
-                    )
                     continue
                 report.check(
                     f"cond4: f_{perm_name(w)} vanishes on {level}",

@@ -352,6 +352,15 @@ def uneven_shift_context():
     return Context(t, LATTICE, gens, group=group, coord_vars=range(2))
 
 
+def collapsed_shift_context():
+    """Both generators shift x1, so a key acts through its coordinate sum: the
+    swap conjugates no unit vector into the lattice, but every key of sum 0."""
+    t = VariableTable(["x1", "x2"])
+    gens = [ShiftAut(t, (QQ(-1), QQ(0))), ShiftAut(t, (QQ(-1), QQ(0)))]
+    group = Group.from_generators(t, [(1, 0)])
+    return Context(t, LATTICE, gens, group=group, coord_vars=range(2))
+
+
 class TestConjugationCertificate:
     def test_violation_names_the_key_and_spares_zero(self):
         ctx = uneven_shift_context()
@@ -376,9 +385,9 @@ class TestConjugationCertificate:
         calls = []
         verify = Context._verify_conjugation
 
-        def counted(self, g, key, candidate):
+        def counted(self, g, key, candidate, xs=None):
             calls.append(key)
-            return verify(self, g, key, candidate)
+            return verify(self, g, key, candidate, xs)
 
         monkeypatch.setattr(Context, "_verify_conjugation", counted)
         for u in alg.generators.values():
@@ -390,8 +399,9 @@ class TestConjugationCertificate:
         [
             lambda: gt_embedding(3).context,
             lambda: build_shift_algebra(3, 3, group_generators=[(1, 0, 2), (0, 2, 1)]),
+            lambda: build_qshift_algebra(3, 3, group_generators=[(1, 0, 2), (0, 2, 1)]),
         ],
-        ids=["gt3", "shift-s3"],
+        ids=["gt3", "shift-s3", "qshift-s3"],
     )
     def test_certified_keys_pass_the_per_key_check(self, build):
         ctx = build()
@@ -399,6 +409,35 @@ class TestConjugationCertificate:
         for g in ctx.group:
             for key in keys:
                 ctx._verify_conjugation(g, key, ctx.conjugate_key(g, key))
+
+    @pytest.mark.parametrize("n, bound", [(3, 72), (4, 420)])
+    def test_certificate_maps_each_unit_image_once(self, monkeypatch, n, bound):
+        # rank * nvars images act(e_i)(x_k), then one image under s per
+        # (generator s, unit e_i, variable): 3*6 + 3*3*6 and 6*10 + 6*6*10
+        ctx = gt_embedding(n).context
+        maps = _counted_maps(monkeypatch)
+        unit = (1,) + (0,) * (ctx.rank - 1)
+        g = ctx.group.generator_elements()[0]
+        assert ctx.conjugate_key(g, unit) == ctx._coord_image(g.perm, unit)
+        assert 0 < len(maps) <= bound
+
+    def test_failed_certificate_falls_back_to_each_key(self, monkeypatch):
+        ctx = collapsed_shift_context()
+        swap = list(ctx.group)[1]
+        shared = []
+        verify = Context._verify_conjugation
+
+        def recorded(self, g, key, candidate, xs=None):
+            shared.append(xs is not None)
+            return verify(self, g, key, candidate, xs)
+
+        monkeypatch.setattr(Context, "_verify_conjugation", recorded)
+        assert ctx.conjugate_key(swap, (1, -1)) == (-1, 1)
+        with pytest.raises(NormalizationViolationError, match=r"conjugation of \(1, 0\)"):
+            ctx.conjugate_key(swap, (1, 0))
+        # each call fails the certificate on e_1, then checks its key with
+        # variables of its own
+        assert shared == [True, False, True, False]
 
     def test_foreign_permutations(self):
         ctx = build_shift_algebra(3, 3, group_generators=[(1, 0, 2), (0, 2, 1)])
@@ -515,6 +554,14 @@ class TestLatticeAction:
             GWASpec(t, gens, (x, x))
         assert mixed_context().rank == 2
 
+    def test_commutation_maps_each_generator_image_once(self, monkeypatch):
+        # 6 generators on 10 variables: 60 images x_k -> s(x_k), then two
+        # images per pair and variable, 2 * 15 * 10
+        gens = gt_embedding(4).context.generators
+        maps = _counted_maps(monkeypatch)
+        Context(gens[0].table, LATTICE, gens)
+        assert 0 < len(maps) <= 360
+
 
 def _counted_applies(monkeypatch, *classes):
     """Record every (automorphism, argument) pair that ``apply`` of the given
@@ -527,6 +574,18 @@ def _counted_applies(monkeypatch, *classes):
             return orig(self, f)
 
         monkeypatch.setattr(cls, "apply", counted)
+    return seen
+
+
+def _counted_maps(monkeypatch):
+    """Record the argument of every ``RatFunc.map`` call."""
+    seen = []
+
+    def counted(self, image, orig=RatFunc.map):
+        seen.append(self)
+        return orig(self, image)
+
+    monkeypatch.setattr(RatFunc, "map", counted)
     return seen
 
 

@@ -391,17 +391,22 @@ class TestHeckeCheck:
         report2 = hecke_membership_check(bad_elem, mode="q", vanishing_value=1)
         assert any("cond4" in c.name for c in report2.failures())
 
-    def test_q_mode_higher_order_pole_leaves_restriction_undefined(self):
+    @pytest.mark.parametrize("shifted, status, residual", [
+        (False, "fail", "1"), (True, "pass", None)], ids=["fails", "vanishes"])
+    def test_q_mode_restricts_a_double_pole(
+            self, shifted, status, residual):
+        # cond4 restricts f_(2 1) to x1-x2 = 1, where a double pole along
+        # x1-x2 = 0 is regular: 1/(x1-x2)^2 is 1 there, (x1-x2-1)/(x1-x2)^2 is 0
         ctx = symmetric_group_context(2)
         x1 = Polynomial.variable(2, 0)
         alpha = x1 - Polynomial.variable(2, 1)
-        elem = SkewElement(ctx, {(1, 0): RatFunc.from_poly(alpha * alpha).invert(),
+        num = alpha - Polynomial.const(2, 1) if shifted else Polynomial.const(2, 1)
+        elem = SkewElement(ctx, {(1, 0): RatFunc(num, alpha * alpha),
                                  (0, 1): RatFunc.from_poly(x1)})
         report = hecke_membership_check(elem, mode="q", vanishing_value=1)
         cond4 = [c for c in report.checks if c.name.startswith("cond4")]
         assert [(c.name, c.status, c.residual) for c in cond4] == [
-            ("cond4: f_(2 1) vanishes on x1-x2 = 1", "fail",
-             "higher-order pole; restriction undefined"),
+            ("cond4: f_(2 1) vanishes on x1-x2 = 1", status, residual),
         ]
 
     @pytest.mark.parametrize("mode", ["degenerate", "q"])
@@ -415,8 +420,7 @@ class TestHeckeCheck:
                                  (0, 1, 2): RatFunc.from_poly(x1)})
         kwargs = {"mode": "q", "vanishing_value": 1} if mode == "q" else {}
         report = hecke_membership_check(elem, **kwargs)
-        cond4 = [("cond4: f_(2 1 3) vanishes on x1-x2 = 1", "fail",
-                  "higher-order pole; restriction undefined")] if mode == "q" else []
+        cond4 = [("cond4: f_(2 1 3) vanishes on x1-x2 = 1", "fail", "1")] if mode == "q" else []
         assert [(c.name, c.status, c.residual) for c in report.checks] == [
             ("cond1: poles of f_(1 2 3) lie on root hyperplanes", "pass", None),
             ("cond1: poles of f_(2 1 3) lie on root hyperplanes", "pass", None),
@@ -471,3 +475,23 @@ class TestRelationTables:
         spec = witten_woronowicz_spec()
         assert [r["name"] for r in gwa_embed(spec).relations] == [
             c.name for c in verify_gwa(spec).checks]
+
+    @pytest.mark.parametrize("builder, build", [
+        ("gl_relation_set", lambda: gt_embedding(4)),
+        ("_gwa_relations", lambda: gwa_embed(witten_woronowicz_spec())),
+    ], ids=["gt", "gwa"])
+    def test_each_table_is_built_on_first_read(self, monkeypatch, builder, build):
+        import skewmon.constructors as constructors
+
+        built = []
+        orig = getattr(constructors, builder)
+
+        def counted(*args):
+            built.append(args)
+            return orig(*args)
+
+        monkeypatch.setattr(constructors, builder, counted)
+        alg = build()
+        assert built == []
+        assert alg.relations is alg.relations
+        assert len(built) == 1
